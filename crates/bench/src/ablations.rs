@@ -150,10 +150,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "Ablation — candidate selection: scan vs lazy heap (Appendix B), MRSF(P)",
             &["strategy", "completeness", "µs/EI"],
         );
-        for (label, cfg) in [
-            ("linear scan (reference)", EngineConfig::preemptive()),
-            ("lazy heap", EngineConfig::preemptive().with_lazy_heap()),
-        ] {
+        for (label, cfg) in selection_rows() {
             let mut completeness = Vec::new();
             let mut micros = Vec::new();
             for w in exp.workloads() {
@@ -177,6 +174,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
     out.push(t);
 
     out
+}
+
+/// The selection ablation's rows: the `Scan` reference and the default
+/// `Incremental` lazy heap.
+fn selection_rows() -> [(&'static str, EngineConfig); 2] {
+    [
+        (
+            "linear scan (reference)",
+            EngineConfig::preemptive().with_scan(),
+        ),
+        ("lazy heap", EngineConfig::preemptive()),
+    ]
 }
 
 /// A large workload where selection cost dominates (many live candidates
@@ -213,6 +222,14 @@ mod tests {
         let scan: f64 = tables[3].rows[0][1].parse().unwrap();
         let heap: f64 = tables[3].rows[1][1].parse().unwrap();
         assert!((scan - heap).abs() < 1e-9, "scan {scan} vs heap {heap}");
+        // The rows must run different selectors: a heap row that silently
+        // fell back to the default would make this comparison vacuous.
+        let rows = selection_rows();
+        assert_eq!(rows[0].1.selection, webmon_core::SelectionStrategy::Scan);
+        assert_eq!(
+            rows[1].1.selection,
+            webmon_core::SelectionStrategy::Incremental
+        );
     }
 
     #[test]

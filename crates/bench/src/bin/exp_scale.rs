@@ -10,7 +10,7 @@
 //! * `--out PATH` — write the fresh report to `PATH` (re-baselining).
 //! * `--check PATH` — gate the fresh report against the baseline at `PATH`;
 //!   exits 1 listing the violations if deterministic counters drifted or an
-//!   incremental-over-lazy-heap speedup regressed by more than 20%.
+//!   incremental-over-scan speedup regressed by more than 20%.
 //! * `--profiles`/`--ranks`/`--horizons`/`--budgets` — override one grid
 //!   axis with an explicit comma-separated ladder; unlisted axes stay at
 //!   the default grid's base point. Using any override replaces the whole
@@ -80,39 +80,16 @@ fn main() -> ExitCode {
     } else {
         grid(scale)
     };
-    // Axis overrides replace the whole grid, so the default churn and
-    // sharded ladders would not match any baseline made from them — skip
-    // both.
-    let (churn_cells, shard_cells) = if overridden {
-        (Vec::new(), Vec::new())
+    // Axis overrides replace the whole grid, so the default churn ladder
+    // would not match any baseline made from them — skip it.
+    let churn_cells = if overridden {
+        Vec::new()
     } else {
-        (
-            webmon_bench::scale::churn_grid(scale),
-            webmon_bench::scale::shard_grid(scale),
-        )
+        webmon_bench::scale::churn_grid(scale)
     };
 
-    let report = webmon_bench::scale::collect_grid(
-        scale,
-        &cells,
-        &roster(scale),
-        &churn_cells,
-        &shard_cells,
-    );
+    let report = webmon_bench::scale::collect_grid(scale, &cells, &roster(scale), &churn_cells);
     webmon_bench::print_tables(&report.tables());
-
-    // The sharded ladder's cross-shard-count identity is a correctness
-    // property, not a perf baseline: gate it against the fresh report
-    // itself, so it holds even on --out-only (re-baselining) runs where
-    // no --check baseline is consulted.
-    let identity = report.violations_against(&report);
-    if !identity.is_empty() {
-        eprintln!("sharded-execution identity broken in this run:");
-        for v in &identity {
-            eprintln!("  - {v}");
-        }
-        return ExitCode::FAILURE;
-    }
 
     if let Some(path) = path_arg(&args, "--out") {
         if let Err(e) = std::fs::write(&path, report.to_json()) {

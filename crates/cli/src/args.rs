@@ -30,6 +30,8 @@ pub enum ArgError {
         /// What was expected.
         expected: &'static str,
     },
+    /// An option or flag the subcommand does not read.
+    Unknown(String),
 }
 
 impl fmt::Display for ArgError {
@@ -44,6 +46,7 @@ impl fmt::Display for ArgError {
                 value,
                 expected,
             } => write!(f, "--{key} {value}: expected {expected}"),
+            ArgError::Unknown(k) => write!(f, "unrecognised option --{k}"),
         }
     }
 }
@@ -108,6 +111,20 @@ impl Args {
     /// `true` if `--key` was given as a bare flag.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Rejects the first option or flag not in `known`, so a misspelt or
+    /// retired option fails loudly instead of being silently ignored.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ArgError> {
+        match self
+            .options
+            .keys()
+            .chain(&self.flags)
+            .find(|k| !known.contains(&k.as_str()))
+        {
+            Some(k) => Err(ArgError::Unknown(k.clone())),
+            None => Ok(()),
+        }
     }
 
     /// A parsed numeric/typed option with a default.

@@ -108,10 +108,6 @@ PARALLELISM (run / sweep / experiments):
                                    default: all cores; results are identical
                                    for every N — timed experiments always
                                    run single-worker)
-    --shards <N>                   engine shards per run (also: WEBMON_SHARDS
-                                   env var; default 1 = serial; clamped to
-                                   the resource count; schedules, metrics,
-                                   and traces are bit-identical for every N)
 
 OUTPUT:
     --json                         machine-readable JSON (run / sweep)
@@ -165,12 +161,120 @@ the monitored instance exactly like `run` repetition 0):
     attach switches the connection to the JSONL event stream.
 ";
 
+/// Instance-shaping options shared by `run`, `sweep`, and `serve`.
+const COMMON_KEYS: &[&str] = &[
+    "trace",
+    "lambda",
+    "resources",
+    "horizon",
+    "budget",
+    "profiles",
+    "rank",
+    "fixed-rank",
+    "alpha",
+    "beta",
+    "window",
+    "noise-z",
+    "reps",
+    "seed",
+];
+
+/// Fault-injection options of `run` and `serve`.
+const FAULT_KEYS: &[&str] = &[
+    "fault-rate",
+    "fault-model",
+    "fault-recover",
+    "fault-seed",
+    "fault-free",
+    "retry",
+    "retry-quota",
+];
+
+/// Profile-churn options of `run` and `serve`.
+const CHURN_KEYS: &[&str] = &[
+    "churn-arrivals",
+    "churn-cancels",
+    "churn-alpha",
+    "churn-delay",
+    "churn-budget-changes",
+    "churn-seed",
+];
+
+/// Every option and flag `command` reads (`--jobs` is global), or `None`
+/// for `help` and unknown commands, which read none.
+fn known_keys(command: &str) -> Option<Vec<&'static str>> {
+    let groups: &[&[&str]] = match command {
+        "run" => &[
+            COMMON_KEYS,
+            FAULT_KEYS,
+            CHURN_KEYS,
+            &[
+                "workload-spec",
+                "offline-lr",
+                "metrics",
+                "trace-out",
+                "json",
+            ],
+        ],
+        "sweep" => &[
+            COMMON_KEYS,
+            &[
+                "param",
+                "json",
+                "fault-seed",
+                "fault-free",
+                "retry",
+                "retry-quota",
+            ],
+        ],
+        "trace" => &[&["trace", "resources", "horizon", "lambda", "seed"]],
+        "serve" => &[
+            COMMON_KEYS,
+            FAULT_KEYS,
+            CHURN_KEYS,
+            &[
+                "listen",
+                "chronon-ms",
+                "policy",
+                "np",
+                "executor",
+                "targets",
+                "probe-timeout-ms",
+                "replay-feed",
+                "trace-out",
+                "sim-trace-out",
+                "journal-dir",
+                "fsync",
+                "snapshot-every",
+                "recover",
+            ],
+        ],
+        "experiments" => &[&["quick"]],
+        "bench" => &[&[
+            "quick",
+            "bench-profiles",
+            "bench-ranks",
+            "bench-horizons",
+            "bench-budgets",
+            "out",
+            "check",
+        ]],
+        _ => return None,
+    };
+    let mut keys = vec!["jobs"];
+    for group in groups {
+        keys.extend_from_slice(group);
+    }
+    Some(keys)
+}
+
 /// Runs the parsed command line; returns the process exit code.
 pub fn dispatch(args: &Args) -> Result<i32, ArgError> {
+    if let Some(known) = args.command.as_deref().and_then(known_keys) {
+        args.reject_unknown(&known)?;
+    }
     let jobs: usize = args.get_parsed("jobs", 0, "a worker count")?;
     webmon_sim::parallel::set_jobs(jobs);
-    let shards: usize = args.get_parsed("shards", 0, "a shard count")?;
-    webmon_sim::parallel::set_shards(shards);
     match args.command.as_deref() {
         Some("run") => cmd_run(args),
         Some("sweep") => cmd_sweep(args),
@@ -1091,34 +1195,15 @@ fn cmd_bench(args: &Args) -> Result<i32, ArgError> {
         scale::grid(scale)
     };
 
-    // Axis overrides replace the whole grid, so the default churn and
-    // sharded ladders would not match any baseline made from them — skip
-    // both.
-    let (churn_cells, shard_cells) = if p || r || h || b {
-        (Vec::new(), Vec::new())
+    // Axis overrides replace the whole grid, so the default churn ladder
+    // would not match any baseline made from them — skip it.
+    let churn_cells = if p || r || h || b {
+        Vec::new()
     } else {
-        (scale::churn_grid(scale), scale::shard_grid(scale))
+        scale::churn_grid(scale)
     };
-    let report = scale::collect_grid(
-        scale,
-        &cells,
-        &scale::roster(scale),
-        &churn_cells,
-        &shard_cells,
-    );
+    let report = scale::collect_grid(scale, &cells, &scale::roster(scale), &churn_cells);
     webmon_bench::print_tables(&report.tables());
-
-    // Cross-shard-count identity is gated against the fresh report itself
-    // (baseline-independent), so even --out-only runs cannot write an
-    // artifact from a run where sharded execution broke bit-identity.
-    let identity = report.violations_against(&report);
-    if !identity.is_empty() {
-        eprintln!("sharded-execution identity broken in this run:");
-        for v in &identity {
-            eprintln!("  - {v}");
-        }
-        return Ok(1);
-    }
 
     if let Some(path) = args.get("out") {
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -1229,6 +1314,54 @@ mod tests {
     fn dispatch_help_and_unknown() {
         assert_eq!(dispatch(&parse(&["help"])).unwrap(), 0);
         assert_eq!(dispatch(&parse(&["frobnicate"])).unwrap(), 2);
+    }
+
+    #[test]
+    fn dispatch_rejects_unrecognised_options() {
+        // The shard-count option was retired with the sharded engine; it,
+        // a typo, and an option of another subcommand must each be a
+        // structured error (exit 2), never silently ignored.
+        for (command, key, value) in [
+            ("run", "shards", "2"),
+            ("run", "budegt", "3"),
+            ("sweep", "fault-rate", "0.3"),
+            ("bench", "shards", "4"),
+        ] {
+            let option = format!("--{key}");
+            assert_eq!(
+                dispatch(&parse(&[command, &option, value])),
+                Err(ArgError::Unknown(key.to_string())),
+                "{command} {option}"
+            );
+        }
+        assert_eq!(
+            dispatch(&parse(&["experiments", "--verbose"])),
+            Err(ArgError::Unknown("verbose".to_string())),
+            "unknown bare flags are rejected too"
+        );
+        // `help` and unknown commands read no options, so nothing is
+        // rejected before their own handling.
+        assert_eq!(dispatch(&parse(&["help", "--bogus", "7"])).unwrap(), 0);
+    }
+
+    #[test]
+    fn every_documented_option_is_known() {
+        // Each `--key` in the usage text must be accepted by at least one
+        // command, so the allowlists cannot silently drift from the docs.
+        let all: Vec<&str> = ["run", "sweep", "trace", "serve", "experiments", "bench"]
+            .into_iter()
+            .flat_map(|c| known_keys(c).unwrap())
+            .collect();
+        for word in USAGE.split_whitespace() {
+            let Some(key) = word.strip_prefix("--") else {
+                continue;
+            };
+            let key = key.trim_end_matches([',', ')', ';']);
+            if key.is_empty() || key.contains('.') {
+                continue;
+            }
+            assert!(all.contains(&key), "--{key} is documented but unknown");
+        }
     }
 
     #[test]

@@ -37,20 +37,6 @@
 //! work actually done that chronon — insertions, probes, captures,
 //! expiries — not to the size of the whole pool or profile.
 //!
-//! **Sharding.** [`EngineConfig::shards`] partitions the resources (and
-//! the candidate index, insertion buckets, and occupancy buffers keyed by
-//! them) into contiguous shards (`engine::shard`); per-chronon maintenance
-//! and selection *scoring* fan out on the scoped-thread pool
-//! ([`crate::parallel`]), while everything that orders the run — the
-//! mutation drain, the global selection heap and budget, probe issue,
-//! captures, expiry, shedding, and every observer event — stays serial in
-//! the canonical merge order. Intra-resource probe sharing never crosses a
-//! shard boundary, so `shards = N` is **bit-identical** to `shards = 1` on
-//! schedules, stats, `RunMetrics`, and JSONL trace bytes, for any policy ×
-//! execution mode × selection strategy, with or without faults and
-//! mutations — the observers in [`crate::obs`] and the checker in
-//! [`crate::check`] compose unchanged.
-//!
 //! **Mutation.** The profile set is *not* frozen at `run()`:
 //! [`OnlineEngine::run_mutated`] drains a [`MutationQueue`] at each chronon
 //! start — mid-run CEI registration (release chronon = now), cancellation
@@ -64,7 +50,6 @@
 mod index;
 mod mutation;
 mod runner;
-mod shard;
 
 pub use mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
 pub use runner::{EngineConfig, OnlineEngine, RunResult, SelectionStrategy};

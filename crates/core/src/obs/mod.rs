@@ -90,9 +90,11 @@ pub enum Event {
         t: Chronon,
         /// Live candidate EIs competing for this chronon's budget.
         size: u32,
-        /// Selection steps performed: lazy-heap pops under
-        /// [`SelectionStrategy::LazyHeap`](crate::engine::SelectionStrategy),
-        /// full-pool argmin scans under `Scan`.
+        /// Selection steps performed: heap pops under the default
+        /// [`SelectionStrategy::Incremental`](crate::engine::SelectionStrategy)
+        /// (stale re-pushes and skipped entries included), one full-pool
+        /// argmin scan per selection under `Scan`. The only field the two
+        /// selectors' traces disagree on.
         heap_pops: u32,
     },
     /// The engine probed a resource.

@@ -107,7 +107,7 @@ pub trait Policy: Sync {
     fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64;
 
     /// Whether `score` is a pure function of `(ctx, cand)` — `true` for
-    /// every paper policy. The heap-based selection strategies detect stale
+    /// every paper policy. The heap selector (`Incremental`) detects stale
     /// heap entries by re-scoring on pop and re-pushing on mismatch, which
     /// only terminates if an unchanged candidate re-scores to the same
     /// value; a policy drawing from hidden mutable state (e.g. the `Random`

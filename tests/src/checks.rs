@@ -120,3 +120,28 @@ pub fn assert_extension_invariants(instance: &Instance) {
         }
     }
 }
+
+/// Strips the one strategy-specific output — selection-step accounting —
+/// from a run's metrics and JSONL trace, so a `Scan` run and an
+/// `Incremental` run of the same case compare byte for byte: every
+/// `CandidateSet.heap_pops` value in the trace becomes 0, and so does
+/// [`RunMetrics::selection_steps`](webmon_core::obs::RunMetrics). Every
+/// other byte is left as written.
+pub fn without_selection_steps(
+    mut metrics: webmon_core::obs::RunMetrics,
+    trace: &[u8],
+) -> (webmon_core::obs::RunMetrics, Vec<u8>) {
+    const KEY: &str = "\"heap_pops\":";
+    metrics.selection_steps = 0;
+    let text = std::str::from_utf8(trace).expect("JSONL traces are UTF-8");
+    let mut masked = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(at) = rest.find(KEY) {
+        let (head, tail) = rest.split_at(at + KEY.len());
+        masked.push_str(head);
+        masked.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    masked.push_str(rest);
+    (metrics, masked.into_bytes())
+}

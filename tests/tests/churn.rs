@@ -21,7 +21,7 @@ use webmon_core::stats::CeiOutcome;
 use webmon_sim::parallel::serial;
 use webmon_sim::{ChurnSpec, Experiment, ExperimentConfig, PolicySpec, TraceSpec};
 use webmon_streams::SimRng;
-use webmon_testkit::checks::{conformant_churned_run, conformant_run};
+use webmon_testkit::checks::{conformant_churned_run, conformant_run, without_selection_steps};
 use webmon_testkit::corpus::{conformance_cases, small_instance};
 use webmon_workload::churn::overlay;
 use webmon_workload::{ChurnConfig, EiLength, RankSpec, WorkloadConfig};
@@ -196,22 +196,22 @@ fn reconfigured_budget_is_respected_from_the_next_chronon() {
     }
 }
 
-/// Mid-run Register and Cancel mutations landing on a **non-zero shard**:
-/// with 8 resources and 4 shards the partition is `[0,2) [2,4) [4,6)
-/// [6,8)`, so a CEI registered on resources 6–7 inserts into shard 3's
-/// index and a cancellation on resources 4–5 routes its removals through
-/// shard 2 — and the sharded churned run must match the serial churned run
-/// bit for bit (schedule, stats, outcomes, metrics, trace bytes).
+/// Mid-run Register and Cancel mutations on high-index resources, next to
+/// background load on low ones: a CEI registered on resources 6–7 inserts
+/// into the candidate index mid-run and a cancellation on resources 4–5
+/// removes its entries, and the default heap selector must match the `Scan`
+/// reference on everything but selection-step accounting (schedule, stats,
+/// outcomes, metrics, trace bytes).
 #[test]
-fn midrun_mutations_on_a_nonzero_shard_match_serial() {
+fn midrun_mutations_match_the_scan_reference() {
     let mut b = webmon_core::model::InstanceBuilder::new(8, 16, Budget::Uniform(2));
     let p = b.profile();
-    b.cei(p, &[(0, 0, 6)]); // shard 0 background load
-    b.cei(p, &[(3, 0, 14)]); // shard 1
-                             // Shard 2, cancelled mid-run: the second EI only opens at chronon 8,
-                             // so the CEI cannot resolve before the cancellation drains at 5.
+    b.cei(p, &[(0, 0, 6)]); // background load
+    b.cei(p, &[(3, 0, 14)]);
+    // Cancelled mid-run: the second EI only opens at chronon 8, so the CEI
+    // cannot resolve before the cancellation drains at 5.
     b.cei(p, &[(4, 2, 12), (5, 8, 12)]);
-    b.cei_released(p, 5, &[(6, 5, 12), (7, 6, 13)]); // shard 3: registered mid-run
+    b.cei_released(p, 5, &[(6, 5, 12), (7, 6, 13)]); // registered mid-run
     let inst = b.build();
 
     let mut mutations = MutationQueue::new();
@@ -222,8 +222,7 @@ fn midrun_mutations_on_a_nonzero_shard_match_serial() {
     for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
         for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
             let mut runs = Vec::new();
-            for shards in [1u32, 4] {
-                let config = base.with_shards(shards);
+            for config in [base.with_scan(), base] {
                 let run = conformant_churned_run(&inst, policy, config, &mutations);
                 let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
                 OnlineEngine::run_mutated(
@@ -236,11 +235,9 @@ fn midrun_mutations_on_a_nonzero_shard_match_serial() {
                     &mut tee,
                 );
                 let Tee(metrics, trace) = tee;
-                runs.push((
-                    run,
-                    metrics.finish(),
-                    trace.finish().expect("Vec<u8> sink cannot fail"),
-                ));
+                let trace = trace.finish().expect("Vec<u8> sink cannot fail");
+                let (metrics, trace) = without_selection_steps(metrics.finish(), &trace);
+                runs.push((run, metrics, trace));
             }
             let label = format!("{} {}", policy.name(), base.label());
             assert_eq!(runs[0].0.schedule, runs[1].0.schedule, "{label}: schedule");
@@ -248,7 +245,7 @@ fn midrun_mutations_on_a_nonzero_shard_match_serial() {
             assert_eq!(runs[0].0.outcomes, runs[1].0.outcomes, "{label}: outcomes");
             assert_eq!(runs[0].1, runs[1].1, "{label}: RunMetrics");
             assert_eq!(runs[0].2, runs[1].2, "{label}: trace bytes");
-            // The mutations actually landed: the shard-2 CEI is cancelled.
+            // The mutations actually landed: the cancelled CEI is cancelled.
             assert_eq!(runs[1].0.stats.ceis_cancelled, 1, "{label}: cancel");
             assert_eq!(runs[1].0.outcomes[2], CeiOutcome::Cancelled { at: 5 });
         }

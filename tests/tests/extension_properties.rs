@@ -29,7 +29,8 @@ proptest! {
         assert_extension_invariants(&instance);
     }
 
-    /// Lazy-heap equivalence holds under the extension semantics too.
+    /// Lazy-heap (the default `Incremental` selector) equivalence with
+    /// the reference scan holds under the extension semantics too.
     #[test]
     fn lazy_heap_equals_scan_under_extensions(
         specs in prop::collection::vec(extension_cei_strategy(), 1..=8),
@@ -37,12 +38,8 @@ proptest! {
     ) {
         let instance = extension_instance(&specs, 2, costs);
         for policy in [&Mrsf as &dyn Policy, &MEdf] {
-            let scan = OnlineEngine::run(&instance, policy, EngineConfig::preemptive());
-            let heap = OnlineEngine::run(
-                &instance,
-                policy,
-                EngineConfig::preemptive().with_lazy_heap(),
-            );
+            let scan = OnlineEngine::run(&instance, policy, EngineConfig::preemptive().with_scan());
+            let heap = OnlineEngine::run(&instance, policy, EngineConfig::preemptive());
             prop_assert_eq!(&scan.schedule, &heap.schedule);
             prop_assert_eq!(scan.stats, heap.stats);
         }

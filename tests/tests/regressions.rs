@@ -44,8 +44,8 @@ fn shrunk_rank2_simultaneous_deadline_instance() {
     let instance = properties_shrunk_instance(1);
     for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
         for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-            let scan = OnlineEngine::run(&instance, policy, base);
-            let heap = OnlineEngine::run(&instance, policy, base.with_lazy_heap());
+            let scan = OnlineEngine::run(&instance, policy, base.with_scan());
+            let heap = OnlineEngine::run(&instance, policy, base);
             assert_eq!(scan.schedule, heap.schedule);
             assert_eq!(scan.stats, heap.stats);
         }
@@ -146,7 +146,7 @@ fn engine_outcomes_match_reevaluation_on_clean_runs() {
             for config in [
                 EngineConfig::preemptive(),
                 EngineConfig::non_preemptive(),
-                EngineConfig::preemptive().with_lazy_heap(),
+                EngineConfig::preemptive().with_scan(),
             ] {
                 let run = OnlineEngine::run(instance, policy, config);
                 let reeval = evaluate_outcomes(instance, &run.schedule);

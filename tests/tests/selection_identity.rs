@@ -1,39 +1,46 @@
 //! Bit-identity of the incremental selection path.
 //!
-//! The PR-5 engine refactor replaced the per-phase `BinaryHeap` +
-//! `HashMap<u32, Vec<PoolEntry>>` rebuilds of the `LazyHeap` selector with
-//! the engine-owned incremental candidate index
-//! ([`SelectionStrategy::Incremental`], the new default). The optimization
-//! must be *observationally invisible*: over the whole conformance corpus,
-//! in every policy × mode cell, `Incremental` must reproduce the
-//! pre-refactor `LazyHeap` output **bit for bit** — the schedule, the
-//! `RunStats`/outcomes, the merged `RunMetrics` (including `heap_pops`
-//! inside `CandidateSet` events), and the raw JSONL trace bytes — and the
-//! `Scan` reference must agree on everything except the selection-step
-//! accounting that heap selectors add to the trace.
+//! The default selector ([`SelectionStrategy::Incremental`]) is the
+//! paper's Appendix-B lazy heap on engine-owned storage; `Scan` is the
+//! always-correct reference. The heap must be *observationally
+//! invisible*: over the whole conformance corpus, in every policy × mode
+//! cell, with and without fault injection, `Incremental` reproduces the
+//! `Scan` output bit for bit — the schedule, the `RunStats`/outcomes, the
+//! merged `RunMetrics`, and the raw JSONL trace bytes — except for the
+//! selection-step accounting (`CandidateSet.heap_pops` and
+//! `RunMetrics::selection_steps`), which counts heap pops under one
+//! strategy and full scans under the other.
 //!
-//! The identity is also pinned under parallel execution (jobs 1 vs 4) and
-//! under fault injection at a nonzero failure rate, so neither the worker
-//! pool nor the fault paths can reorder the incremental bookkeeping.
-//!
-//! The PR-7 sharded engine extends the same contract to intra-cell
-//! parallelism: `shards = N` must be bit-identical to `shards = 1` —
-//! schedule, stats, outcomes, `RunMetrics`, and JSONL trace bytes — for
-//! every shard count in the suite grid, across policies × P/NP × selection
-//! strategies, with and without fault injection and profile churn, and on
-//! an instance large enough to force the threaded shard dispatch path.
+//! The heap's own accounting is pinned too: the CRC-32 of its corpus
+//! digests (trace bytes, `heap_pops` included, plus metric counters) was
+//! recorded while the retired per-phase lazy-heap selector still existed
+//! and produced the identical bytes, so any change to pop order or count
+//! fails here. The digest is also pinned under parallel execution (jobs 1
+//! vs 4), so the worker pool cannot reorder the incremental bookkeeping.
 
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, SelectionStrategy};
-use webmon_core::fault::{FaultConfig, IidFaults, NoFaults};
-use webmon_core::model::{Budget, Chronon, Instance, InstanceBuilder};
+use webmon_core::engine::{EngineConfig, OnlineEngine, SelectionStrategy};
+use webmon_core::fault::{FaultConfig, IidFaults};
+use webmon_core::model::Instance;
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::RunResult;
 use webmon_sim::parallel::par_map_with;
-use webmon_streams::SimRng;
-use webmon_testkit::corpus::{conformance_cases, small_instance, CorpusRng};
-use webmon_workload::churn::overlay;
-use webmon_workload::ChurnConfig;
+use webmon_streams::record::crc32;
+use webmon_testkit::checks::without_selection_steps;
+use webmon_testkit::corpus::{conformance_cases, small_instance, BASE_CASES};
+
+/// CRC-32 of the faultless 60-case digest ([`digest_crc`]), recorded when
+/// the per-phase lazy-heap selector and `Incremental` produced it byte for
+/// byte.
+const CORPUS_DIGEST_CRC: u32 = 0x3117_993b;
+
+/// CRC-32 of the faultless digest over the whole base corpus
+/// ([`BASE_CASES`] cases), recorded the same way.
+const BASE_CORPUS_DIGEST_CRC: u32 = 0x103c_0553;
+
+/// CRC-32 of the 120-case digest at i.i.d. fault rate 0.3, recorded the
+/// same way.
+const FAULTED_DIGEST_CRC: u32 = 0x1bba_33d2;
 
 /// The four paper policies of the identity grid.
 fn policies() -> [(&'static str, Box<dyn Policy>); 4] {
@@ -54,141 +61,92 @@ fn configs(strategy: SelectionStrategy) -> [EngineConfig; 2] {
 }
 
 /// One fully observed run: result + merged metrics + raw JSONL trace bytes.
+/// A positive `fault_rate` drives the run through an i.i.d. fault model
+/// seeded with `seed`.
 fn observed(
     instance: &Instance,
     policy: &dyn Policy,
     config: EngineConfig,
-) -> (RunResult, RunMetrics, Vec<u8>) {
-    let mut metrics = MetricsObserver::new();
-    let mut trace = JsonlTraceObserver::new(Vec::new());
-    let result = {
-        let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_observed(instance, policy, config, &mut tee)
-    };
-    assert_eq!(trace.write_errors(), 0);
-    let bytes = trace.finish().expect("Vec<u8> sink cannot fail");
-    (result, metrics.finish(), bytes)
-}
-
-/// Same, through the fault-injected entry point.
-fn observed_faulted(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    rate: f64,
+    fault_rate: f64,
     seed: u64,
 ) -> (RunResult, RunMetrics, Vec<u8>) {
     let mut metrics = MetricsObserver::new();
     let mut trace = JsonlTraceObserver::new(Vec::new());
-    let mut model = IidFaults::new(rate, seed);
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_faulted(
-            instance,
-            policy,
-            config,
-            &mut model,
-            FaultConfig::charged(),
-            &mut tee,
-        )
+        if fault_rate > 0.0 {
+            OnlineEngine::run_faulted(
+                instance,
+                policy,
+                config,
+                &mut IidFaults::new(fault_rate, seed),
+                FaultConfig::charged(),
+                &mut tee,
+            )
+        } else {
+            OnlineEngine::run_observed(instance, policy, config, &mut tee)
+        }
     };
     assert_eq!(trace.write_errors(), 0);
     let bytes = trace.finish().expect("Vec<u8> sink cannot fail");
     (result, metrics.finish(), bytes)
 }
 
-fn assert_identical(
-    label: &str,
-    a: &(RunResult, RunMetrics, Vec<u8>),
-    b: &(RunResult, RunMetrics, Vec<u8>),
-) {
-    assert_eq!(a.0.schedule, b.0.schedule, "{label}: schedule");
-    assert_eq!(a.0.stats, b.0.stats, "{label}: stats");
-    assert_eq!(a.0.outcomes, b.0.outcomes, "{label}: outcomes");
-    assert_eq!(a.1, b.1, "{label}: RunMetrics");
-    assert_eq!(a.2, b.2, "{label}: JSONL trace bytes");
-}
-
-/// Tentpole identity: `Incremental` vs the pre-refactor `LazyHeap` over the
-/// full corpus, 4 policies × P/NP — schedule, stats, outcomes, metrics, and
-/// trace bytes all byte-identical.
-#[test]
-fn incremental_is_bit_identical_to_lazy_heap_on_the_corpus() {
-    for seed in 0..conformance_cases() {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for (lazy, incr) in configs(SelectionStrategy::LazyHeap)
-                .into_iter()
-                .zip(configs(SelectionStrategy::Incremental))
-            {
-                let a = observed(&instance, policy.as_ref(), lazy);
-                let b = observed(&instance, policy.as_ref(), incr);
-                assert_identical(&format!("seed {seed}: {name} {}", lazy.label()), &a, &b);
-            }
-        }
-    }
-}
-
-/// The `Scan` reference agrees with `Incremental` on every semantic output
-/// (schedule, stats, outcomes). Trace bytes differ only in the selection
-/// accounting (`heap_pops`), so they are not compared here — the
-/// heap-selector trace identity is pinned against `LazyHeap` above.
-#[test]
-fn incremental_matches_scan_semantics_on_the_corpus() {
-    for seed in 0..conformance_cases() {
+/// `Incremental` vs `Scan` on the first `cases` corpus instances: every
+/// output identical once selection-step accounting is masked out.
+fn assert_matches_scan(cases: u64, fault_rate: f64) {
+    for seed in 0..cases {
         let instance = small_instance(seed, false);
         for (name, policy) in &policies() {
             for (scan, incr) in configs(SelectionStrategy::Scan)
                 .into_iter()
                 .zip(configs(SelectionStrategy::Incremental))
             {
-                let a = OnlineEngine::run(&instance, policy.as_ref(), scan);
-                let b = OnlineEngine::run(&instance, policy.as_ref(), incr);
-                let label = format!("seed {seed}: {name} {}", scan.label());
+                let label = format!("seed {seed}: {name} {} rate {fault_rate}", scan.label());
+                let (a, a_metrics, a_trace) =
+                    observed(&instance, policy.as_ref(), scan, fault_rate, seed);
+                let (b, b_metrics, b_trace) =
+                    observed(&instance, policy.as_ref(), incr, fault_rate, seed);
                 assert_eq!(a.schedule, b.schedule, "{label}: schedule");
                 assert_eq!(a.stats, b.stats, "{label}: stats");
                 assert_eq!(a.outcomes, b.outcomes, "{label}: outcomes");
+                let (a_metrics, a_trace) = without_selection_steps(a_metrics, &a_trace);
+                let (b_metrics, b_trace) = without_selection_steps(b_metrics, &b_trace);
+                assert_eq!(a_metrics, b_metrics, "{label}: RunMetrics");
+                assert_eq!(a_trace, b_trace, "{label}: JSONL trace bytes");
             }
         }
     }
+}
+
+/// Tentpole identity: `Incremental` vs the `Scan` reference over the full
+/// corpus, 4 policies × P/NP — schedule, stats, outcomes, `RunMetrics`,
+/// and trace bytes, modulo selection-step accounting.
+#[test]
+fn incremental_matches_scan_semantics_on_the_corpus() {
+    assert_matches_scan(conformance_cases(), 0.0);
 }
 
 /// The identity survives fault injection at a nonzero rate: failed probes,
-/// retries, outages, and shedding all drive the incremental index through
-/// its removal paths, and the output must still match `LazyHeap` bit for
-/// bit.
+/// retries, outages, and shedding drive the incremental index through its
+/// removal paths and the heap through its re-seed path.
 #[test]
-fn incremental_matches_lazy_heap_under_faults() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for (lazy, incr) in configs(SelectionStrategy::LazyHeap)
-                .into_iter()
-                .zip(configs(SelectionStrategy::Incremental))
-            {
-                let a = observed_faulted(&instance, policy.as_ref(), lazy, 0.3, seed);
-                let b = observed_faulted(&instance, policy.as_ref(), incr, 0.3, seed);
-                assert_identical(
-                    &format!("seed {seed}: {name} {} rate 0.3", lazy.label()),
-                    &a,
-                    &b,
-                );
-            }
-        }
-    }
+fn incremental_matches_scan_under_faults() {
+    assert_matches_scan(conformance_cases().min(120), 0.3);
 }
 
-/// Digest of one strategy's output over a slice of the corpus, computed on
-/// a worker pool: per-case trace bytes and metrics, in case order.
-fn corpus_digest(strategy: SelectionStrategy, jobs: usize, cases: u64) -> Vec<(Vec<u8>, String)> {
+/// Digest of the `Incremental` output over a slice of the corpus, computed
+/// on a worker pool: per-case trace bytes and metric counters, in case
+/// order.
+fn corpus_digest(jobs: usize, cases: u64, fault_rate: f64) -> Vec<(Vec<u8>, String)> {
     par_map_with(jobs, (0..cases).collect(), |_, seed| {
         let instance = small_instance(seed, false);
         let mut bytes = Vec::new();
         let mut summary = String::new();
         for (name, policy) in &policies() {
-            for config in configs(strategy) {
-                let (result, metrics, trace) = observed(&instance, policy.as_ref(), config);
+            for config in configs(SelectionStrategy::Incremental) {
+                let (result, metrics, trace) =
+                    observed(&instance, policy.as_ref(), config, fault_rate, seed);
                 bytes.extend_from_slice(&trace);
                 summary.push_str(&format!(
                     "{name}/{}: probes {} steps {} captured {} pool-max {}\n",
@@ -204,234 +162,54 @@ fn corpus_digest(strategy: SelectionStrategy, jobs: usize, cases: u64) -> Vec<(V
     })
 }
 
-/// The PR-1 determinism contract extends to the incremental path: the whole
-/// corpus digest (trace bytes + metric counters) is identical on 1 worker
-/// and on 4, and identical between `LazyHeap` and `Incremental`.
+/// CRC-32 of a digest: each case's trace bytes, then its summary, in case
+/// order.
+fn digest_crc(digest: &[(Vec<u8>, String)]) -> u32 {
+    let mut all = Vec::new();
+    for (bytes, summary) in digest {
+        all.extend_from_slice(bytes);
+        all.extend_from_slice(summary.as_bytes());
+    }
+    crc32(&all)
+}
+
+/// The determinism contract extends to the incremental path: the corpus
+/// digest (trace bytes, `heap_pops` included, + metric counters) is
+/// identical on 1 worker and on 4, and equals the recorded lazy-heap
+/// digest.
 #[test]
 fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
     let cases = conformance_cases().min(60);
-    let incr_1 = corpus_digest(SelectionStrategy::Incremental, 1, cases);
-    let incr_4 = corpus_digest(SelectionStrategy::Incremental, 4, cases);
+    let incr_1 = corpus_digest(1, cases, 0.0);
+    let incr_4 = corpus_digest(4, cases, 0.0);
     assert_eq!(incr_1, incr_4, "jobs 1 vs jobs 4 digests differ");
-    let lazy_1 = corpus_digest(SelectionStrategy::LazyHeap, 1, cases);
-    assert_eq!(incr_1, lazy_1, "Incremental vs LazyHeap digests differ");
-}
-
-// ---------------------------------------------------------------------------
-// Sharded vs serial identity (PR-7).
-// ---------------------------------------------------------------------------
-
-/// Shard counts exercised against the `shards = 1` baseline. The corpus
-/// instances have 1–3 resources, so 2 lands on a real partition, while 4
-/// and 7 also pin the `shards > |R|` clamp (a requested count above the
-/// resource count resolves to one shard per resource).
-const SHARD_COUNTS: [u32; 3] = [2, 4, 7];
-
-/// Same, through the mutation-drain entry point with a churn overlay.
-fn observed_churned(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    mutations: &MutationQueue,
-) -> (RunResult, RunMetrics, Vec<u8>) {
-    let mut metrics = MetricsObserver::new();
-    let mut trace = JsonlTraceObserver::new(Vec::new());
-    let result = {
-        let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_mutated(
-            instance,
-            policy,
-            config,
-            &mut NoFaults,
-            FaultConfig::default(),
-            mutations,
-            &mut tee,
-        )
-    };
-    assert_eq!(trace.write_errors(), 0);
-    let bytes = trace.finish().expect("Vec<u8> sink cannot fail");
-    (result, metrics.finish(), bytes)
-}
-
-/// Tentpole identity: every sharded run reproduces the serial run bit for
-/// bit over the full corpus — 4 policies × P/NP × shards {2, 4, 7}, on the
-/// default `Incremental` strategy. Schedule, stats, outcomes, `RunMetrics`
-/// (including `heap_pops` inside `CandidateSet` events), and raw JSONL
-/// trace bytes must all match.
-#[test]
-fn sharded_is_bit_identical_to_serial_on_the_corpus() {
-    for seed in 0..conformance_cases() {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial = observed(&instance, policy.as_ref(), config.with_shards(1));
-                for shards in SHARD_COUNTS {
-                    let sharded = observed(&instance, policy.as_ref(), config.with_shards(shards));
-                    assert_identical(
-                        &format!("seed {seed}: {name} {} shards {shards}", config.label()),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The shard identity is strategy-independent: `Scan`, `LazyHeap`, and
-/// `Incremental` each reproduce their own serial output bit for bit under
-/// sharding (each strategy is compared against itself, so the selection-step
-/// accounting differences between strategies never enter the comparison).
-#[test]
-fn sharded_identity_holds_for_every_selection_strategy() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for strategy in [
-            SelectionStrategy::Scan,
-            SelectionStrategy::LazyHeap,
-            SelectionStrategy::Incremental,
-        ] {
-            for config in configs(strategy) {
-                let serial = observed(&instance, &Mrsf, config.with_shards(1));
-                for shards in SHARD_COUNTS {
-                    let sharded = observed(&instance, &Mrsf, config.with_shards(shards));
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {strategy:?} {} shards {shards}",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Sharding composes with fault injection: failed probes, retries, and
-/// shedding drive the per-shard indices through their removal paths, and
-/// the faulted sharded run still matches the faulted serial run bit for
-/// bit.
-#[test]
-fn sharded_identity_survives_fault_injection() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial =
-                    observed_faulted(&instance, policy.as_ref(), config.with_shards(1), 0.3, seed);
-                for shards in [2, 7] {
-                    let sharded = observed_faulted(
-                        &instance,
-                        policy.as_ref(),
-                        config.with_shards(shards),
-                        0.3,
-                        seed,
-                    );
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {name} {} shards {shards} rate 0.3",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Sharding composes with profile churn: mid-run registrations insert into
-/// the owning shard's index, cancellations route per-EI, and the churned
-/// sharded run matches the churned serial run bit for bit.
-#[test]
-fn sharded_identity_survives_profile_churn() {
-    let cases = conformance_cases().min(120);
-    let churn = ChurnConfig::new(0.5, 0.4)
-        .with_alpha(0.8)
-        .with_reconfigurations(1);
-    for seed in 0..cases {
-        let instance = small_instance(seed, true);
-        let mutations = overlay(&instance, &churn, &SimRng::new(seed));
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial = observed_churned(
-                    &instance,
-                    policy.as_ref(),
-                    config.with_shards(1),
-                    &mutations,
-                );
-                for shards in [2, 7] {
-                    let sharded = observed_churned(
-                        &instance,
-                        policy.as_ref(),
-                        config.with_shards(shards),
-                        &mutations,
-                    );
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {name} {} shards {shards} churned",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A deterministic instance big enough (> 4096 EIs) that multi-shard runs
-/// take the *threaded* shard dispatch path rather than the inline loop.
-fn large_instance(seed: u64) -> Instance {
-    let n_resources = 48u32;
-    let horizon: Chronon = 80;
-    let mut rng = CorpusRng::new(seed);
-    let mut b = InstanceBuilder::new(n_resources, horizon, Budget::Uniform(3));
-    let p = b.profile();
-    for _ in 0..2600 {
-        let n_eis = rng.range(1, 3);
-        let eis: Vec<(u32, Chronon, Chronon)> = (0..n_eis)
-            .map(|_| {
-                let r = rng.below(u64::from(n_resources)) as u32;
-                let start = rng.below(u64::from(horizon)) as Chronon;
-                let end = (start + rng.below(6) as Chronon).min(horizon - 1);
-                (r, start, end)
-            })
-            .collect();
-        b.cei(p, &eis);
-    }
-    b.build()
-}
-
-/// The identity holds on the threaded dispatch path: an instance with
-/// thousands of EIs spread over 48 resources, where `shards > 1` actually
-/// fans the per-chronon maintenance and scoring out on the scoped-thread
-/// pool, still reproduces the serial trace byte for byte.
-#[test]
-fn sharded_identity_holds_on_the_threaded_dispatch_path() {
-    let instance = large_instance(0x5AAD);
-    assert!(
-        instance.total_eis() > 4096,
-        "fixture too small to force threaded dispatch: {} EIs",
-        instance.total_eis()
+    assert_eq!(
+        digest_crc(&incr_1),
+        CORPUS_DIGEST_CRC,
+        "Incremental digest differs from the recorded lazy-heap digest"
     );
-    for policy in [&Mrsf as &dyn Policy, &Wic::paper()] {
-        for config in configs(SelectionStrategy::Incremental) {
-            let serial = observed(&instance, policy, config.with_shards(1));
-            for shards in SHARD_COUNTS {
-                let sharded = observed(&instance, policy, config.with_shards(shards));
-                assert_identical(
-                    &format!("{} {} shards {shards}", policy.name(), config.label()),
-                    &serial,
-                    &sharded,
-                );
-            }
-        }
-    }
+}
+
+/// The heap's trace bytes over the whole base corpus — every policy ×
+/// mode, `heap_pops` included — reproduce the recorded lazy-heap digest.
+#[test]
+fn incremental_is_bit_identical_to_lazy_heap_on_the_corpus() {
+    let digest = corpus_digest(2, BASE_CASES, 0.0);
+    assert_eq!(
+        digest_crc(&digest),
+        BASE_CORPUS_DIGEST_CRC,
+        "Incremental corpus digest differs from the recorded lazy-heap digest"
+    );
+}
+
+/// Under fault injection the heap's accounting — re-seeds of failed
+/// probes included — still reproduces the recorded lazy-heap digest.
+#[test]
+fn incremental_matches_lazy_heap_under_faults() {
+    let digest = corpus_digest(2, conformance_cases().min(120), 0.3);
+    assert_eq!(
+        digest_crc(&digest),
+        FAULTED_DIGEST_CRC,
+        "faulted Incremental digest differs from the recorded lazy-heap digest"
+    );
 }
