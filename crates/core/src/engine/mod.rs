@@ -31,11 +31,15 @@
 //! index (`engine::index`): entries are inserted once when their window
 //! opens and removed at the exact transition that kills them (capture,
 //! expiry, shed, parent resolution, cancellation), expiries visit only the
-//! windows closing at the current chronon, and the default
-//! [`SelectionStrategy::Incremental`] reuses one engine-owned heap buffer
-//! across phases and chronons. Per-chronon cost is proportional to the
-//! work actually done that chronon — insertions, probes, captures,
-//! expiries — not to the size of the whole pool or profile.
+//! windows closing at the current chronon, and a CEI joins `cands⁺` on its
+//! first capture instead of through a pool pass. For a policy whose
+//! candidate order does not depend on time ([`crate::policy::Policy::key_order`]:
+//! S-EDF, MRSF), the default [`SelectionStrategy::Incremental`] keeps one
+//! heap per phase class across chronons, so per-chronon cost is
+//! proportional to the work actually done that chronon — insertions,
+//! probes, captures, expiries — not to the size of the whole pool or
+//! profile. Other policies (M-EDF, WIC) re-seed one reused heap buffer
+//! from the live pool in every phase.
 //!
 //! **Mutation.** The profile set is *not* frozen at `run()`:
 //! [`OnlineEngine::run_mutated`] drains a [`MutationQueue`] at each chronon

@@ -5,13 +5,17 @@ use super::mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
 use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
-use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats};
+use crate::policy::{Candidate, CeiView, KeyOrder, Policy, PolicyContext, ResourceStats};
 use crate::serve::snapshot::{CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
 use crate::stats::{CeiOutcome, RunStats};
 
 /// Min-heap entries for the [`SelectionStrategy::Incremental`] selector:
-/// `Reverse((score, cei id, ei index))`.
+/// `Reverse((score or order key, cei id, ei index))`.
 type ScoreHeap = std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32, u16)>>;
+
+/// Slack of the keyed-heap compaction bound: a class heap is compacted
+/// once its length exceeds `2 × live + HEAP_SLACK`.
+const HEAP_SLACK: usize = 64;
 
 /// How `probeEIs` finds the minimum-score candidate each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -19,15 +23,20 @@ pub enum SelectionStrategy {
     /// Fresh linear scan per probe — the reference implementation; scores
     /// are always current.
     Scan,
-    /// The paper's Appendix-B lazy heap on engine-owned storage: each phase
-    /// seeds one reused heap buffer from the candidate index with current
-    /// scores; a popped entry whose score went stale (a sibling was
+    /// The paper's Appendix-B lazy heap on engine-owned storage. For a
+    /// policy with a time-invariant order ([`Policy::key_order`]: S-EDF,
+    /// MRSF) one heap per phase class persists across chronons, keyed by
+    /// [`Policy::order_key`] and updated only on arrivals, re-keying
+    /// captures, and popped copies found dead, out of phase, or stale —
+    /// so a chronon costs `O(work · log N)`, not `O(N)`. Any other policy
+    /// seeds one reused heap buffer per phase from the candidate index with
+    /// current scores; a popped entry whose score went stale (a sibling was
     /// captured this chronon) is re-pushed at its current score, and
-    /// captures refresh the touched CEIs' live entries. Produces the
-    /// schedule, outcomes, and `RunMetrics` of [`Scan`](Self::Scan) —
-    /// pinned on the conformance corpus — at `O(log N)` per probe instead
-    /// of `O(N)`, with zero allocation on the hot path. Only the
-    /// selection-step accounting (`heap_pops`) differs. The default.
+    /// captures refresh the touched CEIs' live entries. Either way the
+    /// schedule, outcomes, and `RunMetrics` equal [`Scan`](Self::Scan)'s —
+    /// pinned on the conformance corpus — with zero allocation on the hot
+    /// path. Only the selection-step accounting (`heap_pops`) differs. The
+    /// default.
     #[default]
     Incremental,
 }
@@ -364,6 +373,13 @@ impl OnlineEngine {
         } else {
             SelectionStrategy::Scan
         };
+        // A declared time-invariant order keeps the heap across chronons.
+        let mut keyed = match selection {
+            SelectionStrategy::Incremental => policy
+                .key_order()
+                .map(|order| KeyedHeaps::new(order, config.preemptive)),
+            SelectionStrategy::Scan => None,
+        };
 
         // The candidate pool, grouped by resource with incremental removal
         // and live counts. Allocated once and reused for the whole run.
@@ -423,7 +439,11 @@ impl OnlineEngine {
         let mut active_snapshot = vec![0u32; n_res];
         let mut has_update = vec![false; n_res];
         let mut probed_now = vec![false; n_res];
+        // Non-preemptive mode's cands⁺ membership, frozen per chronon: a
+        // CEI whose first capture lands during chronon t−1 is queued in
+        // `newly_started` and flips at the start of chronon t.
         let mut started_snapshot = vec![false; n_ceis];
+        let mut newly_started: Vec<CeiId> = Vec::new();
         let mut transitions: Vec<(CeiId, CeiOutcome)> = Vec::new();
         let mut touched: Vec<CeiId> = Vec::new();
         let mut capture_scratch: Vec<PoolEntry> = Vec::new();
@@ -503,6 +523,21 @@ impl OnlineEngine {
                         );
                     }
                 }
+                for (started, s) in started_snapshot.iter_mut().zip(&status) {
+                    *started = s.capture_set().is_some_and(CaptureSet::is_started);
+                }
+                // The keyed heaps are not part of the snapshot: their valid
+                // copies are exactly the live entries, so reseeding from the
+                // index restores everything selection can observe.
+                if let Some(k) = keyed.as_mut() {
+                    for r in 0..n_res {
+                        for &e in index.entries(r) {
+                            if index.is_live(e) {
+                                k.push_entry(instance, policy, &status, &started_snapshot, e);
+                            }
+                        }
+                    }
+                }
                 snap.at
             }
             None => 0,
@@ -537,6 +572,17 @@ impl OnlineEngine {
             stats.probes_available += u64::from(budget);
             observer.on_event(Event::ChrononStart { t, budget });
             let mut retries_used: u32 = 0;
+
+            // CEIs started during the previous chronon join cands⁺; under a
+            // keyed order their live entries move to the started heap.
+            for id in newly_started.drain(..) {
+                if !started_snapshot[id.index()] {
+                    started_snapshot[id.index()] = true;
+                    if let Some(k) = keyed.as_mut() {
+                        k.push_cei(instance, policy, &index, &status, &started_snapshot, id);
+                    }
+                }
+            }
 
             // -- 0. Drain this chronon's mutations, in queue order, before
             // fault announcements and arrivals so a registration's windows
@@ -583,6 +629,16 @@ impl OnlineEngine {
                                 index.remove_cei(instance, id);
                             } else {
                                 status[id.index()] = Status::Active(cap);
+                                if let Some(k) = keyed.as_mut() {
+                                    k.push_cei(
+                                        instance,
+                                        policy,
+                                        &index,
+                                        &status,
+                                        &started_snapshot,
+                                        id,
+                                    );
+                                }
                             }
                         }
                         Mutation::Cancel { cei: id } => {
@@ -679,23 +735,15 @@ impl OnlineEngine {
                     let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
                     index.insert(e, r);
                     has_update[r] = true;
+                    if let Some(k) = keyed.as_mut() {
+                        k.push_entry(instance, policy, &status, &started_snapshot, e);
+                    }
                 }
             }
             active_snapshot.copy_from_slice(index.active_now());
             let pool_size = index.live();
-
-            // Non-preemptive mode snapshots, before any probing this
-            // chronon, which CEIs already have a captured EI (cands⁺).
-            if !config.preemptive {
-                for r in 0..n_res {
-                    for e in index.entries(r) {
-                        if index.is_live(*e) {
-                            started_snapshot[e.cei.index()] = status[e.cei.index()]
-                                .capture_set()
-                                .is_some_and(CaptureSet::is_started);
-                        }
-                    }
-                }
+            if let Some(k) = keyed.as_mut() {
+                k.compact(instance, policy, &index, &status, &started_snapshot);
             }
 
             // -- 5. probeEIs: select up to C_j resources by repeated argmin,
@@ -709,7 +757,7 @@ impl OnlineEngine {
                 &[Some(true), Some(false)]
             };
 
-            for &phase in phases {
+            for (class, &phase) in phases.iter().enumerate() {
                 let ctx = PolicyContext {
                     now: t,
                     resources: ResourceStats {
@@ -717,12 +765,13 @@ impl OnlineEngine {
                         has_update: &has_update,
                     },
                 };
-                // The heap selector seeds once per phase with current
-                // scores, walking the index in ascending resource order;
-                // sibling captures can *lower* MRSF / M-EDF scores, and a
-                // lazily validated heap never re-prioritizes buried entries
-                // on its own, so captures refresh the touched CEIs below.
-                if selection == SelectionStrategy::Incremental {
+                // Without a declared key order, the heap selector seeds
+                // once per phase with current scores, walking the index in
+                // ascending resource order; sibling captures can *lower*
+                // M-EDF scores, and a lazily validated heap never
+                // re-prioritizes buried entries on its own, so captures
+                // refresh the touched CEIs below.
+                if selection == SelectionStrategy::Incremental && keyed.is_none() {
                     heap.clear();
                     let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                     for r in 0..n_res {
@@ -742,8 +791,20 @@ impl OnlineEngine {
                 while used < budget {
                     let remaining = budget - used;
                     let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
-                    let best = match selection {
-                        SelectionStrategy::Scan => argmin_candidate(
+                    let best = match (keyed.as_mut(), selection) {
+                        (Some(k), _) => k.pop(
+                            instance,
+                            policy,
+                            &index,
+                            &status,
+                            &started_snapshot,
+                            class,
+                            &probed_now,
+                            &fault_blocked,
+                            remaining,
+                            &mut selection_steps,
+                        ),
+                        (None, SelectionStrategy::Scan) => argmin_candidate(
                             instance,
                             policy,
                             &ctx,
@@ -755,7 +816,7 @@ impl OnlineEngine {
                             snapshot,
                             &mut selection_steps,
                         ),
-                        SelectionStrategy::Incremental => pop_valid(
+                        (None, SelectionStrategy::Incremental) => pop_valid(
                             instance,
                             policy,
                             &ctx,
@@ -834,8 +895,14 @@ impl OnlineEngine {
                         if !succeeded {
                             // The heap consumed this entry on pop; re-seed it
                             // if its resource can still be selected, so both
-                            // strategies keep the identical schedule.
-                            if selection == SelectionStrategy::Incremental && !fault_blocked[ri] {
+                            // strategies keep the identical schedule. A
+                            // persistent heap keeps it either way (a blocked
+                            // one is set aside when popped again).
+                            if let Some(k) = keyed.as_mut() {
+                                k.push_entry(instance, policy, &status, &started_snapshot, best);
+                            } else if selection == SelectionStrategy::Incremental
+                                && !fault_blocked[ri]
+                            {
                                 let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                                 if let Some(score) =
                                     score_entry(instance, policy, &ctx, &status, best, snapshot)
@@ -899,13 +966,33 @@ impl OnlineEngine {
                         touched.push(best.cei);
                     }
 
+                    // A first capture moves a CEI into cands⁺ from the next
+                    // chronon on.
+                    if !config.preemptive {
+                        newly_started
+                            .extend(touched.iter().filter(|id| !started_snapshot[id.index()]));
+                    }
+
                     // Refresh heap priorities of CEIs whose capture state
                     // just changed: push their remaining live entries at
-                    // their new (never higher) scores; stale copies are
-                    // skipped on pop. The liveness flag restricts the
+                    // their new (never higher) scores or keys; stale copies
+                    // are skipped on pop. The liveness flag restricts the
                     // refresh to entries actually in the pool (an EI whose
                     // window has not opened yet must not enter selection).
-                    if selection == SelectionStrategy::Incremental {
+                    if let Some(k) = keyed.as_mut() {
+                        if k.order.changes_on_capture {
+                            for &id in &touched {
+                                k.push_cei(
+                                    instance,
+                                    policy,
+                                    &index,
+                                    &status,
+                                    &started_snapshot,
+                                    id,
+                                );
+                            }
+                        }
+                    } else if selection == SelectionStrategy::Incremental {
                         let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                         for id in &touched {
                             let cei = instance.cei(*id);
@@ -925,6 +1012,9 @@ impl OnlineEngine {
                             }
                         }
                     }
+                }
+                if let Some(k) = keyed.as_mut() {
+                    k.end_phase(class);
                 }
             }
 
@@ -1114,27 +1204,19 @@ fn snapshot_state(
     }
 }
 
-/// Scores one pool entry if it is live and phase-eligible: parent active,
-/// EI uncaptured and unexpired. Returns `None` otherwise.
-fn score_entry(
-    instance: &Instance,
-    policy: &dyn Policy,
-    ctx: &PolicyContext<'_>,
-    status: &[Status],
+/// The policy's view of a pool entry whose parent is active and whose EI
+/// is neither captured nor expired; `None` otherwise.
+fn candidate<'a>(
+    instance: &'a Instance,
+    status: &'a [Status],
     e: PoolEntry,
-    phase: Option<(bool, &[bool])>,
-) -> Option<i64> {
+) -> Option<Candidate<'a>> {
     let cap = status[e.cei.index()].capture_set()?;
     if cap.is_captured(e.ei_idx as usize) || cap.is_expired(e.ei_idx as usize) {
         return None;
     }
-    if let Some((required, snapshot)) = phase {
-        if snapshot[e.cei.index()] != required {
-            return None;
-        }
-    }
     let cei = instance.cei(e.cei);
-    let cand = Candidate {
+    Some(Candidate {
         ei: cei.eis[e.ei_idx as usize],
         ei_index: e.ei_idx as usize,
         cei: CeiView {
@@ -1145,8 +1227,255 @@ fn score_entry(
             weight: cei.weight,
             profile_rank: instance.profiles[cei.profile.index()].rank,
         },
-    };
-    Some(policy.score(ctx, &cand))
+    })
+}
+
+/// Scores one pool entry if it is live and phase-eligible: parent active,
+/// EI uncaptured and unexpired. Returns `None` otherwise.
+fn score_entry(
+    instance: &Instance,
+    policy: &dyn Policy,
+    ctx: &PolicyContext<'_>,
+    status: &[Status],
+    e: PoolEntry,
+    phase: Option<(bool, &[bool])>,
+) -> Option<i64> {
+    if let Some((required, snapshot)) = phase {
+        if snapshot[e.cei.index()] != required {
+            return None;
+        }
+    }
+    Some(policy.score(ctx, &candidate(instance, status, e)?))
+}
+
+/// The current [`Policy::order_key`] of a capturable pool entry.
+fn key_of(
+    instance: &Instance,
+    policy: &dyn Policy,
+    status: &[Status],
+    e: PoolEntry,
+) -> Option<i64> {
+    policy.order_key(&candidate(instance, status, e)?)
+}
+
+/// Phase class of the started (cands⁺) heap, and of every entry in
+/// preemptive mode.
+const STARTED: usize = 0;
+/// Phase class of the fresh-CEI heap (non-preemptive mode only).
+const FRESH: usize = 1;
+
+/// The persistent selection state of a policy with a time-invariant order
+/// ([`Policy::key_order`]): one min-heap of `(order key, cei, ei index)` per
+/// phase class, kept across chronons.
+///
+/// Invariant: outside a phase, every live entry has exactly one *current*
+/// copy — at its current key, in the heap of its current class; during a
+/// phase, a current copy popped and found ineligible sits in `aside`
+/// instead. Every other copy (dead, out of phase, stale key) is discarded
+/// when popped and dropped by [`compact`](Self::compact). Because
+/// key order equals score order and ties break on `(cei, ei index)` as in
+/// [`argmin_candidate`], the first eligible current copy popped is the
+/// `Scan` argmin; and because only current copies count as selection
+/// steps, `heap_pops` is a function of the live state, so a run resumed
+/// from a snapshot (which reseeds the heaps from the index) counts exactly
+/// what the uninterrupted run counted.
+struct KeyedHeaps {
+    order: KeyOrder,
+    preemptive: bool,
+    heaps: [ScoreHeap; 2],
+    /// Current copies popped this phase but blocked or unaffordable;
+    /// re-pushed when the phase ends.
+    aside: Vec<(i64, u32, u16)>,
+}
+
+impl KeyedHeaps {
+    fn new(order: KeyOrder, preemptive: bool) -> Self {
+        KeyedHeaps {
+            order,
+            preemptive,
+            heaps: [ScoreHeap::new(), ScoreHeap::new()],
+            aside: Vec::new(),
+        }
+    }
+
+    /// The phase class of a CEI's entries this chronon.
+    fn class(&self, started: &[bool], id: CeiId) -> usize {
+        if self.preemptive || started[id.index()] {
+            STARTED
+        } else {
+            FRESH
+        }
+    }
+
+    /// Pushes a live entry's current copy into its class's heap.
+    fn push_entry(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        status: &[Status],
+        started: &[bool],
+        e: PoolEntry,
+    ) {
+        let key = key_of(instance, policy, status, e).expect("a keyed policy keys every candidate");
+        let class = self.class(started, e.cei);
+        self.heaps[class].push(std::cmp::Reverse((key, e.cei.0, e.ei_idx)));
+    }
+
+    /// Pushes the current copies of a CEI's live entries: on registration,
+    /// on joining cands⁺, and after a capture re-keys its siblings.
+    fn push_cei(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        index: &CandidateIndex,
+        status: &[Status],
+        started: &[bool],
+        id: CeiId,
+    ) {
+        for idx in 0..instance.cei(id).size() {
+            let e = PoolEntry {
+                cei: id,
+                ei_idx: idx as u16,
+            };
+            if index.is_live(e) {
+                self.push_entry(instance, policy, status, started, e);
+            }
+        }
+    }
+
+    /// Whether a heap copy is the current one of a live entry of `class`.
+    #[allow(clippy::too_many_arguments)]
+    fn is_current(
+        &self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        index: &CandidateIndex,
+        status: &[Status],
+        started: &[bool],
+        class: usize,
+        (key, cei, ei_idx): (i64, u32, u16),
+    ) -> bool {
+        let e = PoolEntry {
+            cei: CeiId(cei),
+            ei_idx,
+        };
+        index.is_live(e)
+            && self.class(started, e.cei) == class
+            && (!self.order.changes_on_capture || key_of(instance, policy, status, e) == Some(key))
+    }
+
+    /// Pops the minimum eligible entry of `class`: non-current copies are
+    /// discarded, and current ones on probed, blocked, or unaffordable
+    /// resources are set aside for the rest of the phase (none of those
+    /// conditions lifts within a chronon). Each current copy popped counts
+    /// as one selection step toward [`Event::CandidateSet`].
+    #[allow(clippy::too_many_arguments)]
+    fn pop(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        index: &CandidateIndex,
+        status: &[Status],
+        started: &[bool],
+        class: usize,
+        probed_now: &[bool],
+        blocked: &[bool],
+        remaining_budget: u32,
+        steps: &mut u32,
+    ) -> Option<PoolEntry> {
+        while let Some(std::cmp::Reverse(item)) = self.heaps[class].pop() {
+            if !self.is_current(instance, policy, index, status, started, class, item) {
+                continue; // dead, out of phase, or superseded by a re-key
+            }
+            *steps += 1;
+            let (_, cei, ei_idx) = item;
+            let e = PoolEntry {
+                cei: CeiId(cei),
+                ei_idx,
+            };
+            let resource = instance.cei(e.cei).eis[ei_idx as usize].resource;
+            if probed_now[resource.index()]
+                || blocked[resource.index()]
+                || instance.costs.of(resource) > remaining_budget
+            {
+                self.aside.push(item);
+                continue;
+            }
+            return Some(e);
+        }
+        None
+    }
+
+    /// Re-pushes the entries set aside during the phase of `class`.
+    fn end_phase(&mut self, class: usize) {
+        self.heaps[class].extend(self.aside.drain(..).map(std::cmp::Reverse));
+    }
+
+    /// Drops every non-current copy from a class heap whose length exceeds
+    /// `2 × live + HEAP_SLACK`. Each copy is dropped at most once, and a
+    /// compaction leaves at most `live` copies, so the amortized cost is
+    /// O(1) per push.
+    fn compact(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        index: &CandidateIndex,
+        status: &[Status],
+        started: &[bool],
+    ) {
+        let bound = 2 * index.live() as usize + HEAP_SLACK;
+        for class in [STARTED, FRESH] {
+            if self.heaps[class].len() > bound {
+                let mut heap = std::mem::take(&mut self.heaps[class]);
+                heap.retain(|&std::cmp::Reverse(item)| {
+                    self.is_current(instance, policy, index, status, started, class, item)
+                });
+                self.heaps[class] = heap;
+                #[cfg(test)]
+                heap_probe::record_compaction();
+            }
+        }
+        #[cfg(test)]
+        heap_probe::record(
+            self.heaps
+                .iter()
+                .map(std::collections::BinaryHeap::len)
+                .max()
+                .unwrap_or(0),
+            bound,
+        );
+    }
+}
+
+/// Test-only instrumentation of the keyed heaps' compaction bound.
+#[cfg(test)]
+mod heap_probe {
+    use std::cell::Cell;
+
+    thread_local! {
+        static PEAK_EXCESS: Cell<Option<i64>> = const { Cell::new(None) };
+        static COMPACTIONS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Records the largest class heap a chronon's selection starts from,
+    /// against the compaction bound.
+    pub(super) fn record(len: usize, bound: usize) {
+        let excess = len as i64 - bound as i64;
+        PEAK_EXCESS.with(|p| p.set(Some(p.get().map_or(excess, |e| e.max(excess)))));
+    }
+
+    pub(super) fn record_compaction() {
+        COMPACTIONS.with(|c| c.set(c.get() + 1));
+    }
+
+    /// Returns and resets `(peak heap length − bound, compactions)`;
+    /// `None` if no keyed run recorded a chronon on this thread.
+    pub(super) fn take() -> (Option<i64>, u32) {
+        (
+            PEAK_EXCESS.with(|p| p.replace(None)),
+            COMPACTIONS.with(|c| c.replace(0)),
+        )
+    }
 }
 
 /// Scans the index for the minimum-score live candidate. Ties break by
@@ -1350,6 +1679,7 @@ mod tests {
     use super::*;
     use crate::model::{Budget, CeiId, InstanceBuilder};
     use crate::policy::{MEdf, Mrsf, SEdf};
+    use crate::serve::snapshot::SnapshotSink;
     use crate::stats::CeiOutcome;
 
     fn run_sedf(instance: &Instance) -> RunResult {
@@ -1803,20 +2133,154 @@ mod tests {
     fn incremental_matches_lazy_heap_trace_bytes() {
         use crate::obs::JsonlTraceObserver;
         // The full event stream of the contended instance — heap pop
-        // counts included — is pinned to the bytes the retired per-phase
-        // lazy-heap selector wrote: its CRC-32 was recorded while both
-        // selectors existed and agreed byte for byte.
-        const LAZY_HEAP_TRACE_CRC: u32 = 0xeeca_c950;
+        // counts included — is pinned per policy (P then NP trace bytes).
+        const LAZY_HEAP_TRACE_CRC: [(&str, u32); 3] = [
+            ("S-EDF", 0x7c12_d674),
+            ("MRSF", 0xe672_0df6),
+            ("M-EDF", 0x090b_03ae),
+        ];
         let inst = contended_instance();
-        let mut bytes = Vec::new();
-        for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf] {
+        for (policy, (name, recorded)) in [&SEdf as &dyn Policy, &Mrsf, &MEdf]
+            .into_iter()
+            .zip(LAZY_HEAP_TRACE_CRC)
+        {
+            assert_eq!(policy.name(), name);
+            let mut bytes = Vec::new();
             for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
                 let mut trace = JsonlTraceObserver::new(Vec::<u8>::new());
                 OnlineEngine::run_observed(&inst, policy, base, &mut trace);
                 bytes.extend_from_slice(&trace.finish().expect("in-memory write"));
             }
+            let crc = webmon_streams::crc32(&bytes);
+            assert_eq!(crc, recorded, "{name}: {crc:#010x}");
         }
-        assert_eq!(webmon_streams::crc32(&bytes), LAZY_HEAP_TRACE_CRC);
+    }
+
+    /// Mid-run churn over [`contended_instance`]: registrations (one with
+    /// an already-open window), cancellations of live CEIs, and budget
+    /// changes.
+    fn contended_churn() -> MutationQueue {
+        let mut q = MutationQueue::new();
+        q.register(4, CeiId(3))
+            .cancel(3, CeiId(12))
+            .cancel(6, CeiId(2))
+            .set_budget(8, 2)
+            .register(9, CeiId(15))
+            .set_budget(14, 3)
+            .register(22, CeiId(10));
+        q
+    }
+
+    #[test]
+    fn keyed_heaps_resume_bit_identically_at_every_boundary() {
+        use crate::fault::{Backoff, IidFaults};
+        use crate::obs::JsonlTraceObserver;
+        use crate::serve::snapshot::CaptureAt;
+        // The keyed heaps are not in `EngineSnapshot`: a resumed run
+        // reseeds them from the index. Because only current copies count
+        // as selection steps, resuming at *any* boundary must reproduce
+        // the uninterrupted run's trace suffix byte for byte, `heap_pops`
+        // included — under faults with backoff (set-aside and re-pushed
+        // entries) and churn (registration pushes, cancelled copies).
+        let inst = contended_instance();
+        let horizon = inst.epoch.len();
+        let churn = contended_churn();
+        let faults = FaultConfig::charged().with_backoff(Backoff::new(1, 4));
+        for policy in [&SEdf as &dyn Policy, &Mrsf] {
+            assert!(policy.key_order().is_some(), "{}", policy.name());
+            for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+                let run = |resume: Option<&EngineSnapshot>, sink: &mut dyn SnapshotSink| {
+                    let mut source = ScriptedMutations::compile(&churn, horizon, inst.ceis.len());
+                    let mut trace = JsonlTraceObserver::new(Vec::<u8>::new());
+                    let result = OnlineEngine::run_driven_resumable(
+                        &inst,
+                        policy,
+                        config,
+                        &mut IidFaults::new(0.3, 0x5EED),
+                        faults,
+                        &mut source,
+                        &mut trace,
+                        resume,
+                        sink,
+                    );
+                    (result, trace.finish().expect("in-memory write"))
+                };
+                let mut sink = CaptureAt::new((0..horizon).collect());
+                let (full, full_trace) = run(None, &mut sink);
+                assert_eq!(sink.taken.len(), horizon as usize);
+                let label = format!("{} {}", policy.name(), config.label());
+                assert!(full.stats.probes_failed > 0, "{label}: no fault exercised");
+                for snap in &sink.taken {
+                    let (resumed, trace) = run(Some(snap), &mut NoSnapshots);
+                    let first_line = trace.split(|&b| b == b'\n').next().expect("a line");
+                    let at = full_trace
+                        .windows(first_line.len())
+                        .position(|w| w == first_line)
+                        .expect("the resumed boundary is in the full trace");
+                    assert_eq!(
+                        &full_trace[at..],
+                        &trace[..],
+                        "{label}: resumed at {} diverges",
+                        snap.at
+                    );
+                    assert_eq!(full.schedule, resumed.schedule, "{label} at {}", snap.at);
+                    assert_eq!(full.stats, resumed.stats, "{label} at {}", snap.at);
+                    assert_eq!(full.outcomes, resumed.outcomes, "{label} at {}", snap.at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_heap_length_stays_bounded_on_a_long_churned_mrsf_run() {
+        // MRSF re-keys every surviving sibling on capture, so stale and
+        // dead copies pile up below the heap's top instead of draining
+        // through it the way S-EDF's expired deadlines do. Compaction must
+        // hold every class heap to `2 × live + HEAP_SLACK` at the start of
+        // each chronon's selection.
+        let (n_res, horizon) = (12u32, 1500u32);
+        let mut b = InstanceBuilder::new(n_res, horizon, Budget::Uniform(2));
+        let p = b.profile();
+        let mut n_ceis = 0u32;
+        for s in (0..horizon - 40).step_by(2) {
+            for j in 0..4u32 {
+                let r = (s / 2 + j * 5) % n_res;
+                b.cei(
+                    p,
+                    &[
+                        (r, s, s + 6 + j),
+                        ((r + 1) % n_res, s + 2, s + 14),
+                        ((r + 4) % n_res, s + 5, s + 25 + j),
+                    ],
+                );
+                n_ceis += 1;
+            }
+        }
+        let inst = b.build();
+        let mut churn = MutationQueue::new();
+        for k in (0..n_ceis - 1).step_by(7) {
+            let release = (k / 4) * 2;
+            churn.cancel(release + 3, CeiId(k));
+            churn.register(release.saturating_sub(2), CeiId(k + 1));
+        }
+        heap_probe::take();
+        let run = run_churned(
+            &inst,
+            &Mrsf,
+            EngineConfig::preemptive(),
+            &churn,
+            &mut NoopObserver,
+        );
+        let (peak_excess, compactions) = heap_probe::take();
+        assert!(run.stats.ceis_cancelled > 0 && run.stats.ceis_captured > 0);
+        let peak_excess = peak_excess.expect("MRSF takes the keyed path");
+        assert!(
+            peak_excess <= 0,
+            "a class heap exceeded 2 × live + {HEAP_SLACK} by {peak_excess}"
+        );
+        // Compaction fires only on a heap past the bound, so without it
+        // this run's heap would have outgrown the bound.
+        assert!(compactions > 0, "the run never outgrew the bound");
     }
 
     #[test]

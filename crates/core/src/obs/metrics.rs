@@ -137,9 +137,11 @@ pub struct RunMetrics {
     pub exhausted_chronons: u64,
     /// Live candidates left waiting, summed over exhausted chronons.
     pub deferred_candidates: u64,
-    /// Candidate-selection steps: heap pops under `Incremental`, argmin
-    /// pool scans under `Scan` — the sum of the `heap_pops` fields, and
-    /// the only counter the two selectors disagree on.
+    /// Candidate-selection steps: heap pops under `Incremental` (valid
+    /// pops only on the keyed path of S-EDF / MRSF — see
+    /// [`Event::CandidateSet`]), argmin pool scans under `Scan` — the sum
+    /// of the `heap_pops` fields, and the only counter the two selectors
+    /// disagree on.
     pub selection_steps: u64,
     /// Live candidate-pool size, sampled once per chronon.
     pub candidate_set: Histogram,

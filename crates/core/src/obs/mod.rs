@@ -90,10 +90,18 @@ pub enum Event {
         t: Chronon,
         /// Live candidate EIs competing for this chronon's budget.
         size: u32,
-        /// Selection steps performed: heap pops under the default
-        /// [`SelectionStrategy::Incremental`](crate::engine::SelectionStrategy)
-        /// (stale re-pushes and skipped entries included), one full-pool
-        /// argmin scan per selection under `Scan`. The only field the two
+        /// Selection steps performed. Under the default
+        /// [`SelectionStrategy::Incremental`](crate::engine::SelectionStrategy):
+        /// for a policy with a time-invariant order
+        /// ([`Policy::key_order`](crate::policy::Policy::key_order)), the
+        /// *valid pops* of its persistent heaps — popped copies that were
+        /// current (live, in phase, at their current key) and were either
+        /// selected or set aside as blocked or unaffordable; dead, out of
+        /// phase, and superseded copies are not counted, so the count is a
+        /// function of the live state and survives a snapshot resume. For
+        /// any other policy, every pop of the per-phase heap (stale
+        /// re-pushes and skipped entries included). Under `Scan`, one
+        /// full-pool argmin scan per selection. The only field the two
         /// selectors' traces disagree on.
         heap_pops: u32,
     },

@@ -116,6 +116,33 @@ pub trait Policy: Sync {
     fn stable_scores(&self) -> bool {
         true
     }
+
+    /// Declares a time-invariant candidate order: `Some` iff
+    /// [`order_key`](Self::order_key) is defined for every candidate.
+    /// `None` (the default) keeps the engine's per-phase selection path.
+    fn key_order(&self) -> Option<KeyOrder> {
+        None
+    }
+
+    /// A key whose order equals the score order at *every* context: for
+    /// any two candidates active at `ctx.now`,
+    /// `score(a) < score(b) ⇔ key(a) < key(b)` and
+    /// `score(a) == score(b) ⇔ key(a) == key(b)`. Because the key does not
+    /// read `ctx`, the `Incremental` selector can keep one ordered heap
+    /// across chronons instead of re-scoring the whole pool per phase.
+    /// `Some` exactly when [`key_order`](Self::key_order) is.
+    fn order_key(&self, _cand: &Candidate<'_>) -> Option<i64> {
+        None
+    }
+}
+
+/// The declaration behind [`Policy::order_key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyOrder {
+    /// Whether a candidate's key changes when an EI of its CEI is captured
+    /// (MRSF's residual does; S-EDF's deadline does not). The engine
+    /// re-keys the surviving siblings after every capture iff this is set.
+    pub changes_on_capture: bool,
 }
 
 #[cfg(test)]
@@ -244,5 +271,190 @@ mod tests {
         let e2 = score_of(&MEdf, &ctx, &cei2, &cap2, 0, 3);
         assert_eq!((e1, e2), (19, 16));
         assert!(e2 < e1);
+    }
+
+    /// An owned candidate: a CEI's EIs and capture flags plus the scored
+    /// EI's index, profile rank, and weight.
+    struct OwnedCand {
+        eis: Vec<Ei>,
+        captured: Vec<bool>,
+        idx: usize,
+        required: u16,
+        rank: u16,
+        weight: f32,
+    }
+
+    impl OwnedCand {
+        fn view(&self) -> Candidate<'_> {
+            Candidate {
+                ei: self.eis[self.idx],
+                ei_index: self.idx,
+                cei: CeiView {
+                    eis: &self.eis,
+                    captured: &self.captured,
+                    n_captured: self.captured.iter().filter(|&&c| c).count() as u16,
+                    required: self.required,
+                    weight: self.weight,
+                    profile_rank: self.rank,
+                },
+            }
+        }
+
+        /// A unit-weight AND-semantics CEI with no captures, scored at EI
+        /// `idx`; its rank is its size.
+        fn plain(eis: Vec<Ei>, idx: usize) -> Self {
+            let n = eis.len();
+            OwnedCand {
+                captured: vec![false; n],
+                required: n as u16,
+                rank: n as u16,
+                weight: 1.0,
+                eis,
+                idx,
+            }
+        }
+
+        fn score(&self, policy: &dyn Policy, now: Chronon, n_resources: usize) -> i64 {
+            policy.score(&CtxData::new(now, n_resources).ctx(), &self.view())
+        }
+    }
+
+    /// A random candidate whose scored EI is active at `now`, with random
+    /// siblings, captures, threshold, and rank (splitmix64 draws).
+    fn random_candidate(state: &mut u64, now: Chronon) -> OwnedCand {
+        let mut draw = |n: u32| -> u32 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % u64::from(n)) as u32
+        };
+        let size = 1 + draw(4) as usize;
+        let idx = draw(size as u32) as usize;
+        let eis: Vec<Ei> = (0..size)
+            .map(|k| {
+                let r = draw(6);
+                if k == idx {
+                    let start = now.saturating_sub(draw(10));
+                    ei(r, start, now + draw(30))
+                } else {
+                    let start = draw(now + 40);
+                    ei(r, start, start + draw(20))
+                }
+            })
+            .collect();
+        let captured: Vec<bool> = (0..size).map(|k| k != idx && draw(2) == 0).collect();
+        let required = 1 + draw(size as u32) as u16;
+        OwnedCand {
+            eis,
+            captured,
+            idx,
+            required,
+            rank: size as u16 + draw(3) as u16,
+            weight: 1.0,
+        }
+    }
+
+    #[test]
+    fn declared_order_keys_match_score_order_across_chronons() {
+        let declaring: [&dyn Policy; 3] = [&SEdf, &Mrsf, &MrsfExact];
+        let mut state = 0x0DE5_u64;
+        for now in [0, 1, 9, 64, 1000] {
+            for _ in 0..400 {
+                let a = random_candidate(&mut state, now);
+                let b = random_candidate(&mut state, now);
+                for policy in declaring {
+                    let key = |c: &OwnedCand| policy.order_key(&c.view()).expect("declared");
+                    assert_eq!(
+                        a.score(policy, now, 6).cmp(&b.score(policy, now, 6)),
+                        key(&a).cmp(&key(&b)),
+                        "{} at {now}",
+                        policy.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_order_declarations_agree_with_order_keys() {
+        let all: [&dyn Policy; 10] = [
+            &SEdf,
+            &Mrsf,
+            &MrsfExact,
+            &MEdf,
+            &MEdfAbsoluteDeadline,
+            &Wic::paper(),
+            &RoundRobin,
+            &RandomPolicy::new(3),
+            &UtilityWeighted::new(SEdf, "U-S-EDF"),
+            &UtilityWeighted::new(Mrsf, "U-MRSF"),
+        ];
+        let mut state = 7;
+        let cand = random_candidate(&mut state, 5);
+        for policy in all {
+            assert_eq!(
+                policy.key_order().is_some(),
+                policy.order_key(&cand.view()).is_some(),
+                "{}",
+                policy.name()
+            );
+        }
+        let declared: Vec<&str> = all
+            .iter()
+            .filter(|p| p.key_order().is_some())
+            .map(|p| p.name())
+            .collect();
+        assert_eq!(declared, ["S-EDF", "MRSF", "MRSF-Exact"]);
+    }
+
+    /// Two candidates whose score order flips between two chronons: no
+    /// key that ignores the clock can follow both orders.
+    fn assert_order_flips(
+        policy: &dyn Policy,
+        a: &OwnedCand,
+        b: &OwnedCand,
+        t0: Chronon,
+        t1: Chronon,
+    ) {
+        assert!(
+            a.score(policy, t0, 2) < b.score(policy, t0, 2),
+            "{} at {t0}",
+            policy.name()
+        );
+        assert!(
+            a.score(policy, t1, 2) > b.score(policy, t1, 2),
+            "{} at {t1}",
+            policy.name()
+        );
+    }
+
+    #[test]
+    fn utility_weighted_sedf_order_depends_on_the_clock() {
+        // Dividing the remaining time by the weight scales the two
+        // deadlines' distance from `now` by different factors.
+        let a = OwnedCand::plain(vec![ei(0, 0, 10)], 0);
+        let b = OwnedCand {
+            weight: 2.0,
+            ..OwnedCand::plain(vec![ei(1, 0, 16)], 0)
+        };
+        assert_order_flips(&UtilityWeighted::new(SEdf, "U-S-EDF"), &a, &b, 9, 0);
+    }
+
+    #[test]
+    fn absolute_deadline_medf_order_depends_on_the_clock() {
+        // Each active uncaptured EI shrinks the score by one per chronon,
+        // so a CEI with two active EIs overtakes one with a single EI.
+        let a = OwnedCand::plain(vec![ei(0, 0, 30)], 0);
+        let b = OwnedCand::plain(vec![ei(0, 0, 20), ei(1, 0, 20)], 0);
+        assert_order_flips(&MEdfAbsoluteDeadline, &a, &b, 0, 15);
+    }
+
+    #[test]
+    fn round_robin_order_depends_on_the_clock() {
+        // The preferred resource rotates with `now mod n`.
+        let a = OwnedCand::plain(vec![ei(0, 0, 9)], 0);
+        let b = OwnedCand::plain(vec![ei(1, 0, 9)], 0);
+        assert_order_flips(&RoundRobin, &a, &b, 0, 1);
     }
 }

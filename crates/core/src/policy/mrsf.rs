@@ -1,6 +1,6 @@
 //! Minimal Residual Stub First (MRSF).
 
-use super::{Candidate, Policy, PolicyContext};
+use super::{Candidate, KeyOrder, Policy, PolicyContext};
 
 /// **MRSF** — the rank-level representative: prefer EIs whose parent CEI has
 /// the fewest EIs left to capture,
@@ -27,6 +27,19 @@ impl Policy for Mrsf {
     fn score(&self, _ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         i64::from(cand.cei.profile_rank) - i64::from(cand.cei.n_captured)
     }
+
+    /// The score itself: it never reads the clock, and changes only when
+    /// the CEI captures an EI.
+    fn key_order(&self) -> Option<KeyOrder> {
+        Some(KeyOrder {
+            changes_on_capture: true,
+        })
+    }
+
+    #[inline]
+    fn order_key(&self, cand: &Candidate<'_>) -> Option<i64> {
+        Some(i64::from(cand.cei.profile_rank) - i64::from(cand.cei.n_captured))
+    }
 }
 
 /// Ablation variant of [`Mrsf`] scoring the *exact* residual
@@ -46,6 +59,18 @@ impl Policy for MrsfExact {
     #[inline]
     fn score(&self, _ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         i64::from(cand.cei.required) - i64::from(cand.cei.n_captured)
+    }
+
+    /// The score itself, as for [`Mrsf`].
+    fn key_order(&self) -> Option<KeyOrder> {
+        Some(KeyOrder {
+            changes_on_capture: true,
+        })
+    }
+
+    #[inline]
+    fn order_key(&self, cand: &Candidate<'_>) -> Option<i64> {
+        Some(i64::from(cand.cei.required) - i64::from(cand.cei.n_captured))
     }
 }
 

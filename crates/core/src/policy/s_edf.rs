@@ -1,6 +1,6 @@
 //! Single Interval Early Deadline First (S-EDF).
 
-use super::{Candidate, Policy, PolicyContext};
+use super::{Candidate, KeyOrder, Policy, PolicyContext};
 
 /// **S-EDF** — the individual-EI-level representative: prefer the execution
 /// interval with the earliest deadline,
@@ -21,6 +21,19 @@ impl Policy for SEdf {
     #[inline]
     fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         i64::from(cand.ei.remaining(ctx.now))
+    }
+
+    /// The deadline `T_f`: `T_f − T + 1` is the same shift of it at every
+    /// chronon, and it never changes on capture.
+    fn key_order(&self) -> Option<KeyOrder> {
+        Some(KeyOrder {
+            changes_on_capture: false,
+        })
+    }
+
+    #[inline]
+    fn order_key(&self, cand: &Candidate<'_>) -> Option<i64> {
+        Some(i64::from(cand.ei.end))
     }
 }
 
