@@ -12,7 +12,7 @@
 
 use crate::Scale;
 use webmon_core::fault::{Backoff, FaultConfig};
-use webmon_sim::{Experiment, ExperimentConfig, FaultSpec, PolicySpec, Table, TraceSpec};
+use webmon_sim::{Experiment, ExperimentConfig, FaultSpec, PolicySpec, Scenario, Table, TraceSpec};
 use webmon_workload::{EiLength, RankSpec, WorkloadConfig};
 
 /// Master fault seed of the robustness experiment.
@@ -123,7 +123,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for (label, spec) in scenarios {
-        let agg = &exp.run_roster_faulted(&probe_specs, spec)[0];
+        let agg = &exp.run_roster_scenario(&probe_specs, Scenario::default().with_fault(spec))[0];
         detail.push_numeric_row(
             label.to_string(),
             &[

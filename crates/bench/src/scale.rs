@@ -34,7 +34,7 @@ use crate::Scale;
 use serde::{Deserialize, Serialize};
 use webmon_sim::parallel::serial;
 use webmon_sim::{
-    ChurnSpec, Experiment, ExperimentConfig, PolicyKind, PolicySpec, Table, TraceSpec,
+    ChurnSpec, Experiment, ExperimentConfig, PolicyKind, PolicySpec, Scenario, Table, TraceSpec,
 };
 use webmon_workload::{ChurnConfig, EiLength, RankSpec, WorkloadConfig};
 
@@ -333,7 +333,13 @@ fn measure(exp: &Experiment, spec: PolicySpec) -> PolicyCell {
     let mut last: Vec<Option<webmon_core::obs::RunMetrics>> = vec![None; strats.len()];
     for _pass in 0..PASSES {
         for (si, &(_, strategy)) in strats.iter().enumerate() {
-            let agg = exp.run_spec_configured(spec, spec.engine_config().with_selection(strategy));
+            let agg = exp.run_scenario(
+                spec,
+                Scenario {
+                    selection: strategy,
+                    ..Scenario::default()
+                },
+            );
             for r in &agg.repetitions {
                 let secs = r.runtime.as_secs_f64();
                 wall[si] += secs;
@@ -386,7 +392,7 @@ fn measure_churn(scale: Scale, dims: CellDims) -> ChurnCellReport {
     let mut static_tp: Vec<f64> = Vec::new();
     let mut churned_metrics = None;
     for _pass in 0..PASSES {
-        let churned = exp.run_spec_churned(spec, churn);
+        let churned = exp.run_scenario(spec, Scenario::default().with_churn(churn));
         let stat = exp.run_spec(spec);
         for r in &churned.repetitions {
             let secs = r.runtime.as_secs_f64();

@@ -11,7 +11,7 @@ use webmon_core::serve::{
 };
 use webmon_sim::{
     ChurnSpec, Experiment, ExperimentConfig, FaultKind, FaultSpec, NoiseSpec, PolicyAggregate,
-    PolicyKind, PolicySpec, Report, Table, TraceSpec,
+    PolicyKind, PolicySpec, Report, Scenario, Table, TraceSpec,
 };
 use webmon_streams::auction::AuctionTraceConfig;
 use webmon_streams::fpn::FpnModel;
@@ -566,17 +566,12 @@ fn write_trace(
     path: &str,
     exp: &Experiment,
     roster: &[PolicySpec],
-    churn: Option<ChurnSpec>,
-    fault: Option<FaultSpec>,
+    scenario: Scenario,
 ) -> std::io::Result<u64> {
     let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
     let mut total = 0;
     for &spec in roster {
-        let (w, events) = match (churn, fault) {
-            (Some(c), f) => exp.trace_spec_churned(spec, c, f, 0, writer)?,
-            (None, Some(f)) => exp.trace_spec_faulted(spec, f, 0, writer)?,
-            (None, None) => exp.trace_spec(spec, 0, writer)?,
-        };
+        let (w, events) = exp.trace_scenario(spec, scenario, 0, writer)?;
         writer = w;
         total += events;
     }
@@ -596,6 +591,11 @@ fn experiment_from_spec_file(path: &str) -> Result<Experiment, String> {
 fn cmd_run(args: &Args) -> Result<i32, ArgError> {
     let fault = fault_from(args)?;
     let churn = churn_from(args)?;
+    let scenario = Scenario {
+        fault,
+        churn,
+        ..Scenario::default()
+    };
     let exp = match args.get("workload-spec") {
         Some(path) => match experiment_from_spec_file(path) {
             Ok(exp) => exp,
@@ -607,11 +607,7 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
         None => Experiment::materialize(config_from(args)?),
     };
     let roster = PolicySpec::paper_roster();
-    let mut aggregates = match (churn, fault) {
-        (Some(c), f) => exp.run_roster_churned(&roster, c, f),
-        (None, Some(f)) => exp.run_roster_faulted(&roster, f),
-        (None, None) => exp.run_roster(&roster),
-    };
+    let mut aggregates = exp.run_roster_scenario(&roster, scenario);
     if args.flag("offline-lr") {
         use webmon_core::offline::LocalRatioConfig;
         match exp.try_run_local_ratio(LocalRatioConfig::default()) {
@@ -635,7 +631,7 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
         eprintln!("metrics: wrote {} policies to {path}", doc.policies.len());
     }
     if let Some(path) = args.get("trace-out") {
-        match write_trace(path, &exp, &roster, churn, fault) {
+        match write_trace(path, &exp, &roster, scenario) {
             Ok(events) => eprintln!("trace: wrote {events} events to {path}"),
             Err(e) => {
                 eprintln!("cannot write trace to {path}: {e}");
@@ -962,7 +958,7 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
     };
 
     // Seeds follow the simulator's repetition-0 conventions exactly, so the
-    // daemon's event stream is byte-identical to `Experiment::trace_spec*`.
+    // daemon's event stream is byte-identical to `Experiment::trace_scenario`.
     let queue = match churn {
         Some(c) => c.build(0, &instance),
         None => MutationQueue::new(),
@@ -1051,16 +1047,17 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
     };
 
     // The simulator reference for CI's byte-for-byte diff: the same case,
-    // run by `Experiment::trace_spec*` with its own JSONL writer.
+    // run by `Experiment::trace_scenario` with its own JSONL writer.
     if let Some(path) = args.get("sim-trace-out") {
         let exp = exp.expect("checked: --sim-trace-out excludes --replay-feed");
+        let scenario = Scenario {
+            fault,
+            churn,
+            ..Scenario::default()
+        };
         let sim = std::fs::File::create(path)
             .map(std::io::BufWriter::new)
-            .and_then(|w| match (churn, fault) {
-                (Some(c), f) => exp.trace_spec_churned(spec, c, f, 0, w),
-                (None, Some(f)) => exp.trace_spec_faulted(spec, f, 0, w),
-                (None, None) => exp.trace_spec(spec, 0, w),
-            });
+            .and_then(|w| exp.trace_scenario(spec, scenario, 0, w));
         match sim {
             Ok((_, events)) => eprintln!("sim trace: wrote {events} events to {path}"),
             Err(e) => {
@@ -1834,7 +1831,10 @@ mod tests {
     fn faulted_run_metrics_stay_consistent() {
         let exp = tiny_experiment();
         let roster = [PolicySpec::p(PolicyKind::MEdf)];
-        let aggregates = exp.run_roster_faulted(&roster, FaultSpec::iid(0.4, 99));
+        let aggregates = exp.run_roster_scenario(
+            &roster,
+            Scenario::default().with_fault(FaultSpec::iid(0.4, 99)),
+        );
         let doc = metrics_doc(&exp, &aggregates);
         assert!(
             doc.policies[0].consistency_errors.is_empty(),

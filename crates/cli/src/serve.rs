@@ -20,7 +20,7 @@
 //! `{"err":{"reason":...,"input":...}}` line and the connection stays
 //! open. Registration commands feed the engine's live
 //! [`LiveMutationQueue`], drained at each chronon start with exactly the
-//! `run_mutated` semantics.
+//! `OnlineEngine::run_driven` semantics.
 //!
 //! **Byte identity.** The daemon's event hub writes every event as
 //! `serde_json::to_string(&event)` plus `\n` — the same bytes
@@ -47,8 +47,8 @@ use webmon_core::serve::journal::{
     scan_journal, JournalObserver, JournalSink, JournalWriter, SharedJournal,
 };
 use webmon_core::serve::{
-    drive_resumable, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
-    LiveMutationQueue, NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
+    drive, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError, LiveMutationQueue,
+    NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
 };
 use webmon_streams::{crc32, write_all_tagged};
 
@@ -677,7 +677,7 @@ impl Daemon {
                     rec.executor(executor, session.instance.n_resources, opts.resync_executor);
                 divergence = Some(journal_exec.divergence());
                 let mut source = rec.mutations(DaemonSource::new(session.script, live));
-                drive_resumable(
+                drive(
                     &session.instance,
                     session.policy.as_ref(),
                     session.config,
@@ -692,7 +692,7 @@ impl Daemon {
             }
             None => {
                 let mut source = DaemonSource::new(session.script, live);
-                drive_resumable(
+                drive(
                     &session.instance,
                     session.policy.as_ref(),
                     session.config,

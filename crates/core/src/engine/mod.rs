@@ -41,15 +41,22 @@
 //! profile. Other policies (M-EDF, WIC) re-seed one reused heap buffer
 //! from the live pool in every phase.
 //!
-//! **Mutation.** The profile set is *not* frozen at `run()`:
-//! [`OnlineEngine::run_mutated`] drains a [`MutationQueue`] at each chronon
-//! start — mid-run CEI registration (release chronon = now), cancellation
-//! of live CEIs, and budget reconfiguration — emitting typed
+//! **Entry points.** [`OnlineEngine::run_driven_resumable`] is the one
+//! implementation of the loop. [`OnlineEngine::run_driven`] calls it
+//! without recovery hooks, and [`OnlineEngine::run_observed`] and
+//! [`OnlineEngine::run`] call that with no faults and no mutations.
+//!
+//! **Faults and mutation.** [`OnlineEngine::run_driven`] takes a
+//! [`crate::fault::FaultModel`] and a [`MutationSource`]. The profile set
+//! is *not* frozen at `run()`: a [`MutationQueue`] compiled with
+//! [`ScriptedMutations::compile`] is drained at each chronon start —
+//! mid-run CEI registration (release chronon = now), cancellation of live
+//! CEIs, and budget reconfiguration — emitting typed
 //! [`crate::obs::Event`]s for each drained mutation so churned runs stay
-//! replayable byte-for-byte. An empty queue is bit-identical to
-//! [`OnlineEngine::run_faulted`]; registration costs O(own EIs) because
-//! open windows insert directly into the per-resource index and future
-//! windows ride the prebuilt `starts[t]` buckets.
+//! replayable byte-for-byte. An empty queue compiles to an inactive source,
+//! bit-identical to [`ScriptedMutations::default`]; registration costs
+//! O(own EIs) because open windows insert directly into the per-resource
+//! index and future windows ride the prebuilt `starts[t]` buckets.
 
 mod index;
 mod mutation;

@@ -173,10 +173,12 @@ impl MutationQueue {
 /// [`ChrononStart`](crate::obs::Event::ChrononStart), and applies the
 /// drained mutations in the order the source produced them.
 ///
-/// An *inactive* source (`active() == false`) promises it will never
-/// produce a mutation nor suppress a release; the engine then skips all
-/// per-chronon mutation work, keeping mutation-free runs on the exact
-/// pre-churn fast path.
+/// An *inactive* source (`active() == false`, e.g.
+/// [`ScriptedMutations::default`]) promises it will never produce a
+/// mutation nor suppress a release; the engine then skips all per-chronon
+/// mutation work, keeping mutation-free runs on the exact pre-churn fast
+/// path. The drained mutations' semantics are documented on
+/// [`OnlineEngine::run_driven_resumable`](crate::engine::OnlineEngine::run_driven_resumable).
 pub trait MutationSource {
     /// Whether this source can ever produce mutations. Sampled once at run
     /// start; an inactive source is never drained.
@@ -194,11 +196,11 @@ pub trait MutationSource {
 }
 
 /// A [`MutationQueue`] compiled for one run: per-chronon drain buckets plus
-/// the dynamic-CEI flags, exactly the state
-/// [`OnlineEngine::run_mutated`](crate::engine::OnlineEngine::run_mutated)
-/// used to build inline. Draining a compiled script is bit-identical to the
-/// pre-refactor queue handling by construction: the buckets preserve queue
-/// order and an empty queue compiles to an inactive source.
+/// the dynamic-CEI flags — how a prerecorded script reaches
+/// [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven).
+/// The buckets preserve queue order. An empty queue compiles to an inactive
+/// source equal to [`ScriptedMutations::default`], which is what the
+/// mutation-free entry points (`run`, `run_observed`) pass.
 /// `Serialize` exists so the serve journal's configuration fingerprint can
 /// hash the compiled script's content — recovery under a different churn
 /// script must be refused up front.

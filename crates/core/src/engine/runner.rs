@@ -1,7 +1,7 @@
 //! The run loop implementing Algorithm 1 (Online Complex Monitoring).
 
 use super::index::{CandidateIndex, PoolEntry};
-use super::mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
+use super::mutation::{Mutation, MutationSource, ScriptedMutations};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
 use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
@@ -168,145 +168,35 @@ impl OnlineEngine {
     /// ordering guarantees). The event stream is deterministic: a pure
     /// function of `(instance, policy, config)`.
     ///
-    /// Equivalent to [`run_faulted`](Self::run_faulted) with [`NoFaults`] —
-    /// the disabled fault model monomorphizes every fault branch away, so
-    /// this path costs exactly what it did before fault injection existed.
+    /// Equivalent to [`run_driven`](Self::run_driven) with [`NoFaults`] and
+    /// an inactive [`ScriptedMutations::default`] — the disabled fault model
+    /// and mutation source monomorphize every fault and mutation branch
+    /// away, so this path costs exactly what it did before either existed.
     pub fn run_observed<O: Observer>(
         instance: &Instance,
         policy: &dyn Policy,
         config: EngineConfig,
         observer: &mut O,
     ) -> RunResult {
-        Self::run_faulted(
+        Self::run_driven(
             instance,
             policy,
             config,
             &mut NoFaults,
             FaultConfig::default(),
+            &mut ScriptedMutations::default(),
             observer,
         )
     }
 
-    /// Runs `policy` over `instance` under a deterministic fault model.
-    ///
-    /// Per chronon, the engine first advances `faults`, snapshots each
-    /// resource's committed outage horizon, and announces
-    /// [`Event::ResourceDown`] / [`Event::ResourceUp`] transitions. Down
-    /// and backed-off resources are excluded from candidate selection. A
-    /// selected probe is then submitted to the model: on failure the engine
-    /// emits [`Event::ProbeFailed`] (charging the probe's cost against the
-    /// chronon budget iff [`FaultConfig::failures_cost`]), tracks the
-    /// resource's consecutive-failure count for retry/backoff, and selects
-    /// again; on success the normal capture path runs. Retry attempts (a
-    /// probe on a resource with consecutive failures) announce themselves
-    /// with [`Event::ProbeRetried`] and respect the optional per-chronon
-    /// [`FaultConfig::retry_quota`]. After the natural expiry pass, the
-    /// engine sheds CEIs whose remaining uncaptured windows fall entirely
-    /// within committed outages ([`Event::CeiShed`]) — under AND/threshold
-    /// semantics they are provably doomed, so burning further probes on
-    /// them would only starve feasible CEIs.
-    ///
-    /// Determinism: every shipped [`FaultModel`] is a pure function of its
-    /// seed and parameters, so the faulted run — schedule, event stream,
-    /// stats — is a pure function of
-    /// `(instance, policy, config, model, fault_config)`.
-    ///
-    /// Equivalent to [`run_mutated`](Self::run_mutated) with an empty
-    /// [`MutationQueue`] — bit-identical schedule, event stream, and stats.
-    pub fn run_faulted<F: FaultModel, O: Observer>(
-        instance: &Instance,
-        policy: &dyn Policy,
-        config: EngineConfig,
-        faults: &mut F,
-        fault_config: FaultConfig,
-        observer: &mut O,
-    ) -> RunResult {
-        Self::run_mutated(
-            instance,
-            policy,
-            config,
-            faults,
-            fault_config,
-            &MutationQueue::new(),
-            observer,
-        )
-    }
-
-    /// The most general entry point: runs `policy` over `instance` under a
-    /// fault model *and* a mid-run [`MutationQueue`] — the profile set is
-    /// no longer frozen at `run()`.
-    ///
-    /// At each chronon start (immediately after [`Event::ChrononStart`],
-    /// before fault announcements, arrivals, and probing) the engine drains
-    /// the queue's mutations for that chronon, in queue order:
-    ///
-    /// * [`Mutation::Register`] — the CEI activates with release chronon
-    ///   `= now` ([`Event::CeiRegistered`]). Windows already closed are
-    ///   expired on the spot (if that alone dooms the CEI it fails
-    ///   immediately, [`Event::CeiExpired`]); currently-open windows join
-    ///   the candidate pool now; future windows ride the prebuilt
-    ///   `starts[t]` buckets. Cost is O(own EIs), never O(pool). A CEI
-    ///   named by any `Register` in the queue is *dynamic*: its natural
-    ///   release from the instance trace is suppressed.
-    /// * [`Mutation::Cancel`] — a live (or not-yet-released) CEI resolves
-    ///   as [`CeiOutcome::Cancelled`] ([`Event::CeiCancelled`]); its
-    ///   windows leave the pool through the same incremental-removal path
-    ///   captures and expiries use. Pending retry state (failure streaks,
-    ///   backoff deadlines) on resources the cancellation emptied is
-    ///   dropped, so the per-chronon retry quota is not spent on profiles
-    ///   nobody wants anymore.
-    /// * [`Mutation::SetBudget`] — replaces the per-chronon budget with a
-    ///   uniform value effective **exactly from the next chronon**
-    ///   ([`Event::BudgetReconfigured`]); the current chronon keeps the
-    ///   budget its `ChrononStart` announced.
-    ///
-    /// Determinism: the churned run — schedule, event stream, stats — is a
-    /// pure function of
-    /// `(instance, policy, config, model, fault_config, mutations)`; an
-    /// empty queue is bit-identical to [`run_faulted`](Self::run_faulted).
-    pub fn run_mutated<F: FaultModel, O: Observer>(
-        instance: &Instance,
-        policy: &dyn Policy,
-        config: EngineConfig,
-        faults: &mut F,
-        fault_config: FaultConfig,
-        mutations: &MutationQueue,
-        observer: &mut O,
-    ) -> RunResult {
-        let mut source =
-            ScriptedMutations::compile(mutations, instance.epoch.len(), instance.ceis.len());
-        Self::run_driven(
-            instance,
-            policy,
-            config,
-            faults,
-            fault_config,
-            &mut source,
-            observer,
-        )
-    }
-
-    /// Runs `policy` over `instance` drawing mid-run mutations from an
-    /// arbitrary [`MutationSource`] instead of a prerecorded
-    /// [`MutationQueue`] — the entry point the `webmon serve` daemon uses
-    /// to splice live registration-API traffic into the engine loop.
-    ///
-    /// The engine samples [`MutationSource::active`] once at run start: an
-    /// inactive source takes the exact mutation-free fast path
-    /// [`run_faulted`](Self::run_faulted) compiles to. An active source is
-    /// drained once per chronon (immediately after [`Event::ChrononStart`],
-    /// before fault announcements and arrivals) and its drained mutations
-    /// apply with precisely the semantics documented on
-    /// [`run_mutated`](Self::run_mutated); natural releases are suppressed
-    /// per-CEI via [`MutationSource::suppresses_release`].
-    ///
-    /// Equivalence: driving with
-    /// [`ScriptedMutations::compile`]`(queue, ..)` is bit-identical —
-    /// schedule, event stream, stats — to
-    /// [`run_mutated`](Self::run_mutated) with `queue`; an always-active
-    /// source that never drains anything and never suppresses is
-    /// bit-identical to an inactive one (activity only gates a per-chronon
-    /// drain that applies no mutations).
+    /// Runs `policy` over `instance` under a fault model and a mid-run
+    /// [`MutationSource`] — a prerecorded
+    /// [`MutationQueue`](super::MutationQueue) compiled with
+    /// [`ScriptedMutations::compile`], or the live registration feed the
+    /// `webmon serve` daemon splices into the loop. Equivalent to
+    /// [`run_driven_resumable`](Self::run_driven_resumable) without resume
+    /// state or snapshot sink; the fault and mutation semantics are
+    /// documented there.
     pub fn run_driven<F: FaultModel, M: MutationSource, O: Observer>(
         instance: &Instance,
         policy: &dyn Policy,
@@ -329,18 +219,75 @@ impl OnlineEngine {
         )
     }
 
-    /// [`run_driven`](Self::run_driven) with crash-recovery hooks: the
-    /// engine offers an [`EngineSnapshot`] to `snapshots` at every chronon
-    /// boundary, and `resume` restores a previously captured snapshot so
-    /// the loop starts at its boundary chronon instead of 0.
+    /// The one implementation of the run loop: runs `policy` over
+    /// `instance` under a fault model, a mid-run mutation source, and
+    /// crash-recovery hooks.
     ///
-    /// Identity contract (pinned by `tests/tests/recovery.rs`): capturing a
-    /// snapshot at boundary `S` during a run and replaying
+    /// **Faults.** Per chronon, the engine first advances `faults`,
+    /// snapshots each resource's committed outage horizon, and announces
+    /// [`Event::ResourceDown`] / [`Event::ResourceUp`] transitions. Down
+    /// and backed-off resources are excluded from candidate selection. A
+    /// selected probe is then submitted to the model: on failure the engine
+    /// emits [`Event::ProbeFailed`] (charging the probe's cost against the
+    /// chronon budget iff [`FaultConfig::failures_cost`]), tracks the
+    /// resource's consecutive-failure count for retry/backoff, and selects
+    /// again; on success the normal capture path runs. Retry attempts (a
+    /// probe on a resource with consecutive failures) announce themselves
+    /// with [`Event::ProbeRetried`] and respect the optional per-chronon
+    /// [`FaultConfig::retry_quota`]. After the natural expiry pass, the
+    /// engine sheds CEIs whose remaining uncaptured windows fall entirely
+    /// within committed outages ([`Event::CeiShed`]) — under AND/threshold
+    /// semantics they are provably doomed, so burning further probes on
+    /// them would only starve feasible CEIs. With [`NoFaults`] every fault
+    /// branch monomorphizes away.
+    ///
+    /// **Mutations.** The engine samples [`MutationSource::active`] once at
+    /// run start: an inactive source (such as [`ScriptedMutations::default`]
+    /// or an empty compiled queue) takes the exact mutation-free fast path.
+    /// An active source is drained once per chronon, immediately after
+    /// [`Event::ChrononStart`] and before fault announcements, arrivals, and
+    /// probing; the drained mutations apply in source order:
+    ///
+    /// * [`Mutation::Register`] — the CEI activates with release chronon
+    ///   `= now` ([`Event::CeiRegistered`]). Windows already closed are
+    ///   expired on the spot (if that alone dooms the CEI it fails
+    ///   immediately, [`Event::CeiExpired`]); currently-open windows join
+    ///   the candidate pool now; future windows ride the prebuilt
+    ///   `starts[t]` buckets. Cost is O(own EIs), never O(pool). A *dynamic*
+    ///   CEI ([`MutationSource::suppresses_release`]; for a compiled queue,
+    ///   any CEI named by a `Register` in it) has its natural release from
+    ///   the instance trace suppressed.
+    /// * [`Mutation::Cancel`] — a live (or not-yet-released) CEI resolves
+    ///   as [`CeiOutcome::Cancelled`] ([`Event::CeiCancelled`]); its
+    ///   windows leave the pool through the same incremental-removal path
+    ///   captures and expiries use. Pending retry state (failure streaks,
+    ///   backoff deadlines) on resources the cancellation emptied is
+    ///   dropped, so the per-chronon retry quota is not spent on profiles
+    ///   nobody wants anymore.
+    /// * [`Mutation::SetBudget`] — replaces the per-chronon budget with a
+    ///   uniform value effective **exactly from the next chronon**
+    ///   ([`Event::BudgetReconfigured`]); the current chronon keeps the
+    ///   budget its `ChrononStart` announced.
+    ///
+    /// An always-active source that never drains anything and never
+    /// suppresses is bit-identical to an inactive one (activity only gates
+    /// a per-chronon drain that applies no mutations).
+    ///
+    /// **Recovery.** The engine offers an [`EngineSnapshot`] to `snapshots`
+    /// at every chronon boundary, and `resume` restores a previously
+    /// captured snapshot so the loop starts at its boundary chronon instead
+    /// of 0. Identity contract (pinned by `tests/tests/recovery.rs`):
+    /// capturing a snapshot at boundary `S` during a run and replaying
     /// `resume = Some(snapshot)` with the same instance, policy, config,
     /// fault model state, and per-chronon mutations reproduces chronons
     /// `S..horizon` bit-identically — schedule, stats, outcomes, and event
     /// stream suffix. A declining sink and `resume = None` are bit-identical
     /// to [`run_driven`](Self::run_driven).
+    ///
+    /// **Determinism.** Every shipped [`FaultModel`] is a pure function of
+    /// its seed and parameters, so the run — schedule, event stream, stats
+    /// — is a pure function of
+    /// `(instance, policy, config, model, fault_config, mutations)`.
     ///
     /// # Panics
     /// Panics if `resume` disagrees with `instance` on CEI count, resource
@@ -1677,6 +1624,7 @@ fn capture_single<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MutationQueue;
     use crate::model::{Budget, CeiId, InstanceBuilder};
     use crate::policy::{MEdf, Mrsf, SEdf};
     use crate::serve::snapshot::SnapshotSink;
@@ -2441,13 +2389,13 @@ mod tests {
         q: &MutationQueue,
         observer: &mut impl Observer,
     ) -> RunResult {
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             inst,
             policy,
             config,
             &mut NoFaults,
             FaultConfig::default(),
-            q,
+            &mut ScriptedMutations::compile(q, inst.epoch.len(), inst.ceis.len()),
             observer,
         )
     }
@@ -2626,13 +2574,13 @@ mod tests {
             q.cancel(2, CeiId(0));
             let mut faults = IidFaults::new(1.0, 0xBAD);
             let mut rec = EventRecorder::default();
-            let r = OnlineEngine::run_mutated(
+            let r = OnlineEngine::run_driven(
                 &inst,
                 &Mrsf,
                 EngineConfig::preemptive(),
                 &mut faults,
                 fc,
-                &q,
+                &mut ScriptedMutations::compile(&q, inst.epoch.len(), inst.ceis.len()),
                 &mut rec,
             );
             assert_eq!(r.outcomes[0], CeiOutcome::Cancelled { at: 2 });

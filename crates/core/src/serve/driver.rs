@@ -2,7 +2,7 @@
 //! [`ProbeExecutor`], and a live mutation feed.
 //!
 //! [`drive`] is the daemon's engine entry point. It composes three adapters
-//! around [`OnlineEngine::run_driven`]:
+//! around [`OnlineEngine::run_driven_resumable`]:
 //!
 //! * [`Paced`] wraps the observer and blocks on every
 //!   [`Event::ChrononStart`] until the clock admits that chronon — pacing
@@ -16,7 +16,7 @@
 
 use super::clock::Clock;
 use super::executor::{ExecutorModel, ProbeExecutor};
-use super::snapshot::{EngineSnapshot, NoSnapshots, SnapshotSink};
+use super::snapshot::{EngineSnapshot, SnapshotSink};
 use crate::engine::{
     EngineConfig, Mutation, MutationSource, OnlineEngine, RunResult, ScriptedMutations,
 };
@@ -209,55 +209,22 @@ impl MutationSource for DaemonSource {
 }
 
 /// Runs `policy` over `instance` against a clock and a probe executor —
-/// the daemon's engine entry point.
+/// the daemon's engine entry point, including `--recover`: boundary
+/// snapshots stream to `snapshots`, and `resume` restarts the engine
+/// mid-run from a restored [`EngineSnapshot`].
 ///
 /// Equivalence contract: for any clock, `drive` with
-/// [`ReplayExecutor::faultless`] and an empty [`DaemonSource`] is
-/// byte-identical (schedule, stats, event stream) to
-/// [`OnlineEngine::run_observed`]; with
-/// [`ReplayExecutor::scripted`]`(model)` it matches
-/// [`OnlineEngine::run_faulted`] on the same model; adding a compiled
-/// churn script matches [`OnlineEngine::run_mutated`].
+/// [`ReplayExecutor::scripted`]`(model)`, a [`DaemonSource`] around a
+/// compiled churn script, `resume = None` and a declining sink
+/// ([`NoSnapshots`](super::NoSnapshots)) is byte-identical (schedule,
+/// stats, event stream) to [`OnlineEngine::run_driven`] on the same model
+/// and script; [`ReplayExecutor::faultless`] with an empty source matches
+/// [`OnlineEngine::run_observed`].
 ///
 /// [`ReplayExecutor::faultless`]: super::ReplayExecutor::faultless
 /// [`ReplayExecutor::scripted`]: super::ReplayExecutor::scripted
 #[allow(clippy::too_many_arguments)]
 pub fn drive<E, M, C, O>(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    executor: E,
-    fault_config: FaultConfig,
-    mutations: &mut M,
-    clock: C,
-    observer: O,
-) -> RunResult
-where
-    E: ProbeExecutor,
-    M: MutationSource,
-    C: Clock,
-    O: Observer,
-{
-    drive_resumable(
-        instance,
-        policy,
-        config,
-        executor,
-        fault_config,
-        mutations,
-        clock,
-        observer,
-        None,
-        &mut NoSnapshots,
-    )
-}
-
-/// [`drive`] with crash-recovery hooks: boundary snapshots stream to
-/// `snapshots`, and `resume` restarts the engine mid-run from a restored
-/// [`EngineSnapshot`] — the daemon's `--recover` entry point. With
-/// `resume = None` and a declining sink this is bit-identical to [`drive`].
-#[allow(clippy::too_many_arguments)]
-pub fn drive_resumable<E, M, C, O>(
     instance: &Instance,
     policy: &dyn Policy,
     config: EngineConfig,
@@ -297,7 +264,7 @@ mod tests {
     use crate::model::{Budget, InstanceBuilder};
     use crate::obs::MetricsObserver;
     use crate::policy::MEdf;
-    use crate::serve::{FreeClock, ManualClock, ReplayExecutor};
+    use crate::serve::{FreeClock, ManualClock, NoSnapshots, ReplayExecutor};
 
     fn tiny_instance() -> Instance {
         let mut b = InstanceBuilder::new(2, 10, Budget::Uniform(1));
@@ -325,6 +292,8 @@ mod tests {
             &mut source,
             FreeClock,
             &mut served,
+            None,
+            &mut NoSnapshots,
         );
         assert_eq!(expected.schedule, got.schedule);
         assert_eq!(expected.stats, got.stats);
@@ -347,6 +316,8 @@ mod tests {
             &mut source,
             clock,
             &mut crate::obs::NoopObserver,
+            None,
+            &mut NoSnapshots,
         );
         let expected = OnlineEngine::run(&instance, &MEdf, EngineConfig::preemptive());
         assert_eq!(expected.schedule, got.schedule);
@@ -355,7 +326,7 @@ mod tests {
     #[test]
     fn live_queue_drains_at_next_chronon_start() {
         // A live SetBudget submitted before the run starts drains at
-        // chronon 0 and (per run_mutated semantics) applies from chronon 1.
+        // chronon 0 and (per run_driven semantics) applies from chronon 1.
         let instance = tiny_instance();
         let live = LiveMutationQueue::new();
         live.submit(Mutation::SetBudget { budget: 0 });
@@ -370,6 +341,8 @@ mod tests {
             &mut source,
             FreeClock,
             &mut crate::obs::NoopObserver,
+            None,
+            &mut NoSnapshots,
         );
         assert_eq!(live.pending(), 0);
         // Budget zeroed from chronon 1 on: nothing captures.
@@ -378,13 +351,13 @@ mod tests {
         // The same mutation prerecorded at chronon 0 is bit-identical.
         let mut queue = MutationQueue::new();
         queue.set_budget(0, 0);
-        let expected = OnlineEngine::run_mutated(
+        let expected = OnlineEngine::run_driven(
             &instance,
             &MEdf,
             EngineConfig::preemptive(),
             &mut crate::fault::NoFaults,
             FaultConfig::default(),
-            &queue,
+            &mut ScriptedMutations::compile(&queue, instance.epoch.len(), instance.ceis.len()),
             &mut crate::obs::NoopObserver,
         );
         assert_eq!(expected.schedule, got.schedule);

@@ -21,8 +21,8 @@
 //!
 //! **Equivalence contract.** A daemon run with [`ReplayExecutor`] under
 //! any clock is byte-identical — schedule, stats, `RunMetrics`, JSONL
-//! trace bytes — to the corresponding simulator entry point
-//! (`run_observed` / `run_faulted` / `run_mutated`). Every invariant the
+//! trace bytes — to the simulator's `run_driven` with the same fault
+//! model and mutation script. Every invariant the
 //! conformance harness checks therefore transfers to serving mode for
 //! free; `tests/tests/serve.rs` and CI's `serve-smoke` job enforce it.
 //!
@@ -43,7 +43,7 @@ pub mod journal;
 pub mod snapshot;
 
 pub use clock::{Clock, ClockRelease, FreeClock, ManualClock, ManualHandle, WallClock};
-pub use driver::{drive, drive_resumable, DaemonSource, LiveMutationQueue, Paced};
+pub use driver::{drive, DaemonSource, LiveMutationQueue, Paced};
 pub use executor::{ExecutorModel, ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
 pub use journal::{
     FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalObserver,

@@ -9,9 +9,12 @@ use crate::summary::Summary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use webmon_core::engine::OnlineEngine;
+use webmon_core::engine::{
+    MutationQueue, OnlineEngine, RunResult, ScriptedMutations, SelectionStrategy,
+};
+use webmon_core::fault::{FaultConfig, NoFaults};
 use webmon_core::model::{evaluate_schedule, Budget, Cei, CeiId, Instance, Profile, ProfileId};
-use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics};
+use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, Observer, RunMetrics};
 use webmon_core::offline::{local_ratio_schedule, ExpansionError, LocalRatioConfig};
 use webmon_core::policy::SEdf;
 use webmon_core::stats::RunStats;
@@ -116,6 +119,37 @@ fn collect(outcomes: &[RepetitionOutcome], f: impl Fn(&RepetitionOutcome) -> f64
     outcomes.iter().map(f).collect()
 }
 
+/// What a run adds on top of a [`PolicySpec`]: an injected fault scenario,
+/// a churn overlay, and the candidate selection strategy. The default is
+/// the plain run — no faults, no churn, the default selector. P/NP mode and
+/// probe sharing always come from the spec, so the column label always
+/// names the mode that ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Scenario {
+    /// Fault scenario; each repetition builds a fresh model from it.
+    pub fault: Option<FaultSpec>,
+    /// Churn overlay; each repetition builds a fresh mutation script from it.
+    pub churn: Option<ChurnSpec>,
+    /// Candidate selection data structure. Schedules and outcomes are
+    /// identical across strategies; cost and the selection-step count
+    /// differ.
+    pub selection: SelectionStrategy,
+}
+
+impl Scenario {
+    /// Adds a fault scenario.
+    pub fn with_fault(mut self, fault: FaultSpec) -> Self {
+        self.fault = Some(fault);
+        self
+    }
+
+    /// Adds a churn overlay.
+    pub fn with_churn(mut self, churn: ChurnSpec) -> Self {
+        self.churn = Some(churn);
+        self
+    }
+}
+
 /// A materialized experiment: the same seeded problem instances are reused
 /// for every policy and for the offline baseline, exactly as the paper runs
 /// online and offline "on the same problem instances".
@@ -215,48 +249,32 @@ impl Experiment {
     }
 
     /// Runs one policy spec over every repetition (in parallel; see
-    /// [`crate::parallel`]).
+    /// [`crate::parallel`]). The [`Scenario::default`] form of
+    /// [`Self::run_scenario`].
+    pub fn run_spec(&self, spec: PolicySpec) -> PolicyAggregate {
+        self.run_scenario(spec, Scenario::default())
+    }
+
+    /// Runs one policy spec over every repetition under `scenario` —
+    /// injected faults, a churn overlay, a pinned [`SelectionStrategy`], or
+    /// any combination (in parallel; see [`crate::parallel`]).
     ///
     /// Each repetition gets a *fresh* policy seeded by repetition index.
     /// A shared policy would be fine for the stateless paper policies, but
     /// `Random` draws from internal state, so sharing one instance across
     /// repetitions would make each repetition's draws depend on how many
     /// draws its predecessors made — and, under parallelism, on worker
-    /// interleaving. Per-repetition seeding makes every repetition's result
-    /// a pure function of `(config, spec, rep)`, so `--jobs N` is
-    /// bit-identical to `--jobs 1`.
-    pub fn run_spec(&self, spec: PolicySpec) -> PolicyAggregate {
-        self.run_spec_configured(spec, spec.engine_config())
-    }
-
-    /// Like [`Self::run_spec`] with an explicit [`EngineConfig`] instead of
-    /// the spec's default — the hook the scaling bench and the selection
-    /// ablations use to pin a [`SelectionStrategy`] (or toggle probe
-    /// sharing) while keeping the P/NP mode, labeling, and per-repetition
-    /// policy seeding of the spec.
-    ///
-    /// `config.preemptive` should agree with `spec.preemptive`; the engine
-    /// runs whatever `config` says, but the column label comes from `spec`.
-    ///
-    /// [`EngineConfig`]: webmon_core::EngineConfig
-    /// [`SelectionStrategy`]: webmon_core::SelectionStrategy
-    pub fn run_spec_configured(
-        &self,
-        spec: PolicySpec,
-        engine_config: webmon_core::EngineConfig,
-    ) -> PolicyAggregate {
+    /// interleaving. Fault models and churn scripts fork their seeds by
+    /// repetition index the same way, so every repetition's result is a
+    /// pure function of `(config, spec, scenario, rep)` and `--jobs N` is
+    /// bit-identical to `--jobs 1`. A fault model that never fails or a
+    /// quiescent churn spec (both rates zero, no reconfigurations)
+    /// reproduces [`Self::run_spec`] exactly.
+    pub fn run_scenario(&self, spec: PolicySpec, scenario: Scenario) -> PolicyAggregate {
         let noisy = self.config.noise.is_some();
         let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
             let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = OnlineEngine::run_observed(
-                &w.instance,
-                policy.as_ref(),
-                engine_config,
-                &mut observer,
-            );
-            let runtime = start.elapsed();
+            let (result, runtime) = self.run_repetition(spec, scenario, rep, &mut observer);
             let stats = if noisy {
                 evaluate_schedule(&w.truth, &result.schedule)
             } else {
@@ -272,134 +290,20 @@ impl Experiment {
         PolicyAggregate::from_outcomes(spec.label(), outcomes)
     }
 
-    /// Like [`Self::run_spec`], under an injected fault scenario: each
-    /// repetition builds a fresh fault model from `fault` (seed forked by
-    /// repetition index) and drives
-    /// [`OnlineEngine::run_faulted`] instead of the fault-free path.
-    ///
-    /// Determinism carries over: the outcome is a pure function of
-    /// `(config, spec, fault, rep)`, so `--jobs N` stays bit-identical to
-    /// `--jobs 1`, and a spec whose model never fails reproduces
-    /// [`Self::run_spec`] exactly.
-    pub fn run_spec_faulted(&self, spec: PolicySpec, fault: FaultSpec) -> PolicyAggregate {
-        let noisy = self.config.noise.is_some();
-        let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-            let mut model = fault.build(rep as u64, w.instance.n_resources as usize);
-            let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = OnlineEngine::run_faulted(
-                &w.instance,
-                policy.as_ref(),
-                spec.engine_config(),
-                &mut model,
-                fault.config,
-                &mut observer,
-            );
-            let runtime = start.elapsed();
-            let stats = if noisy {
-                evaluate_schedule(&w.truth, &result.schedule)
-            } else {
-                result.stats
-            };
-            RepetitionOutcome {
-                stats,
-                metrics: observer.finish(),
-                runtime,
-                n_eis: w.n_eis(),
-            }
-        });
-        PolicyAggregate::from_outcomes(spec.label(), outcomes)
+    /// Runs a roster of policy specs (columns of an experiment table), specs
+    /// in parallel; the per-repetition parallelism inside [`Self::run_spec`]
+    /// folds inline on each worker, so the total thread count stays capped.
+    pub fn run_roster(&self, specs: &[PolicySpec]) -> Vec<PolicyAggregate> {
+        self.run_roster_scenario(specs, Scenario::default())
     }
 
-    /// Like [`Self::run_spec`], under a churn scenario: each repetition
-    /// builds a fresh [`MutationQueue`](webmon_core::engine::MutationQueue)
-    /// from `churn` (seed forked by repetition index) and drives
-    /// [`OnlineEngine::run_mutated`] — mid-run registrations, cancellations,
-    /// and budget reconfigurations — instead of the static-profile path.
-    ///
-    /// Determinism carries over: the outcome is a pure function of
-    /// `(config, spec, churn, rep)`, so `--jobs N` stays bit-identical to
-    /// `--jobs 1`, and a quiescent spec (both rates zero, no
-    /// reconfigurations) reproduces [`Self::run_spec`] exactly.
-    pub fn run_spec_churned(&self, spec: PolicySpec, churn: ChurnSpec) -> PolicyAggregate {
-        self.run_spec_churned_faulted(spec, churn, None)
-    }
-
-    /// The fully general online run: churn overlay plus an optional fault
-    /// scenario on the same materialized repetitions. `fault: None` is the
-    /// fault-free churned run of [`Self::run_spec_churned`].
-    pub fn run_spec_churned_faulted(
-        &self,
-        spec: PolicySpec,
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
-    ) -> PolicyAggregate {
-        let noisy = self.config.noise.is_some();
-        let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-            let mutations = churn.build(rep as u64, &w.instance);
-            let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = match fault {
-                Some(f) => {
-                    let mut model = f.build(rep as u64, w.instance.n_resources as usize);
-                    OnlineEngine::run_mutated(
-                        &w.instance,
-                        policy.as_ref(),
-                        spec.engine_config(),
-                        &mut model,
-                        f.config,
-                        &mutations,
-                        &mut observer,
-                    )
-                }
-                None => OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut webmon_core::fault::NoFaults,
-                    webmon_core::fault::FaultConfig::default(),
-                    &mutations,
-                    &mut observer,
-                ),
-            };
-            let runtime = start.elapsed();
-            let stats = if noisy {
-                evaluate_schedule(&w.truth, &result.schedule)
-            } else {
-                result.stats
-            };
-            RepetitionOutcome {
-                stats,
-                metrics: observer.finish(),
-                runtime,
-                n_eis: w.n_eis(),
-            }
-        });
-        PolicyAggregate::from_outcomes(spec.label(), outcomes)
-    }
-
-    /// Runs a roster of policy specs under one churn scenario (and an
-    /// optional fault scenario).
-    pub fn run_roster_churned(
+    /// Runs a roster of policy specs under one [`Scenario`].
+    pub fn run_roster_scenario(
         &self,
         specs: &[PolicySpec],
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
+        scenario: Scenario,
     ) -> Vec<PolicyAggregate> {
-        par_map(specs.to_vec(), |_, s| {
-            self.run_spec_churned_faulted(s, churn, fault)
-        })
-    }
-
-    /// Runs a roster of policy specs under one fault scenario.
-    pub fn run_roster_faulted(
-        &self,
-        specs: &[PolicySpec],
-        fault: FaultSpec,
-    ) -> Vec<PolicyAggregate> {
-        par_map(specs.to_vec(), |_, s| self.run_spec_faulted(s, fault))
+        par_map(specs.to_vec(), |_, s| self.run_scenario(s, scenario))
     }
 
     /// The robustness sweep: reruns `specs` at every i.i.d. failure rate in
@@ -415,102 +319,21 @@ impl Experiment {
         specs: &[PolicySpec],
         rates: &[f64],
         fault_seed: u64,
-        config: webmon_core::fault::FaultConfig,
+        config: FaultConfig,
     ) -> Vec<(f64, Vec<PolicyAggregate>)> {
         par_map(rates.to_vec(), |_, rate| {
             let fault = FaultSpec::iid(rate, fault_seed).with_config(config);
-            (rate, self.run_roster_faulted(specs, fault))
+            (
+                rate,
+                self.run_roster_scenario(specs, Scenario::default().with_fault(fault)),
+            )
         })
-    }
-
-    /// Re-runs one materialized repetition of `spec` under `fault` with a
-    /// [`JsonlTraceObserver`], streaming the faulted event stream to
-    /// `writer` as JSONL — the trace twin of [`Self::run_spec_faulted`],
-    /// byte-replayable through
-    /// [`webmon_core::obs::replay_metrics`].
-    ///
-    /// # Panics
-    /// Panics if `rep` is out of range.
-    pub fn trace_spec_faulted<W: std::io::Write>(
-        &self,
-        spec: PolicySpec,
-        fault: FaultSpec,
-        rep: usize,
-        writer: W,
-    ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-        let mut model = fault.build(rep as u64, w.instance.n_resources as usize);
-        let mut observer = JsonlTraceObserver::new(writer);
-        OnlineEngine::run_faulted(
-            &w.instance,
-            policy.as_ref(),
-            spec.engine_config(),
-            &mut model,
-            fault.config,
-            &mut observer,
-        );
-        let events = observer.events_written();
-        Ok((observer.finish()?, events))
-    }
-
-    /// Re-runs one materialized repetition of `spec` under the `churn`
-    /// overlay (and an optional fault scenario) with a
-    /// [`JsonlTraceObserver`], streaming the churned event stream —
-    /// including `cei_registered` / `cei_cancelled` / `budget_reconfigured`
-    /// records — to `writer` as JSONL. The trace twin of
-    /// [`Self::run_spec_churned_faulted`]: the exact run it scores, so
-    /// churned traces replay byte-for-byte.
-    ///
-    /// # Panics
-    /// Panics if `rep` is out of range.
-    pub fn trace_spec_churned<W: std::io::Write>(
-        &self,
-        spec: PolicySpec,
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
-        rep: usize,
-        writer: W,
-    ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-        let mutations = churn.build(rep as u64, &w.instance);
-        let mut observer = JsonlTraceObserver::new(writer);
-        match fault {
-            Some(f) => {
-                let mut model = f.build(rep as u64, w.instance.n_resources as usize);
-                OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut model,
-                    f.config,
-                    &mutations,
-                    &mut observer,
-                );
-            }
-            None => {
-                OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut webmon_core::fault::NoFaults,
-                    webmon_core::fault::FaultConfig::default(),
-                    &mutations,
-                    &mut observer,
-                );
-            }
-        }
-        let events = observer.events_written();
-        Ok((observer.finish()?, events))
     }
 
     /// Re-runs one materialized repetition of `spec` with a
     /// [`JsonlTraceObserver`], streaming the engine's full event stream to
-    /// `writer` as JSONL. Returns the flushed writer and the number of
-    /// events written. The replay is the exact run [`Self::run_spec`]
-    /// scores — same workload, same per-repetition policy seed — so the
-    /// trace explains the reported numbers.
+    /// `writer` as JSONL. The [`Scenario::default`] form of
+    /// [`Self::trace_scenario`].
     ///
     /// # Panics
     /// Panics if `rep` is out of range.
@@ -520,24 +343,76 @@ impl Experiment {
         rep: usize,
         writer: W,
     ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
+        self.trace_scenario(spec, Scenario::default(), rep, writer)
+    }
+
+    /// Re-runs one materialized repetition of `spec` under `scenario` with
+    /// a [`JsonlTraceObserver`], streaming the event stream — including
+    /// fault and churn records — to `writer` as JSONL. Returns the flushed
+    /// writer and the number of events written. The replay is the exact
+    /// run [`Self::run_scenario`] scores — same workload, same
+    /// per-repetition policy, fault and churn seeds — so the trace explains
+    /// the reported numbers and replays byte-for-byte through
+    /// [`webmon_core::obs::replay_metrics`].
+    ///
+    /// # Panics
+    /// Panics if `rep` is out of range.
+    pub fn trace_scenario<W: std::io::Write>(
+        &self,
+        spec: PolicySpec,
+        scenario: Scenario,
+        rep: usize,
+        writer: W,
+    ) -> std::io::Result<(W, u64)> {
         let mut observer = JsonlTraceObserver::new(writer);
-        OnlineEngine::run_observed(
-            &w.instance,
-            policy.as_ref(),
-            spec.engine_config(),
-            &mut observer,
-        );
+        self.run_repetition(spec, scenario, rep, &mut observer);
         let events = observer.events_written();
         Ok((observer.finish()?, events))
     }
 
-    /// Runs a roster of policy specs (columns of an experiment table), specs
-    /// in parallel; the per-repetition parallelism inside [`Self::run_spec`]
-    /// folds inline on each worker, so the total thread count stays capped.
-    pub fn run_roster(&self, specs: &[PolicySpec]) -> Vec<PolicyAggregate> {
-        par_map(specs.to_vec(), |_, s| self.run_spec(s))
+    /// The one per-repetition body every run and trace goes through: builds
+    /// repetition `rep`'s policy, fault model and mutation script from
+    /// `spec` and `scenario` (seeds forked by repetition index), runs the
+    /// engine with `observer`, and returns the result with the wall-clock
+    /// runtime of the scheduling run.
+    fn run_repetition<O: Observer>(
+        &self,
+        spec: PolicySpec,
+        scenario: Scenario,
+        rep: usize,
+        observer: &mut O,
+    ) -> (RunResult, Duration) {
+        let instance = &self.workloads[rep].instance;
+        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
+        let config = spec.engine_config().with_selection(scenario.selection);
+        let queue = match scenario.churn {
+            Some(churn) => churn.build(rep as u64, instance),
+            None => MutationQueue::new(),
+        };
+        let start = Instant::now();
+        let mut mutations =
+            ScriptedMutations::compile(&queue, instance.epoch.len(), instance.ceis.len());
+        let result = match scenario.fault {
+            None => OnlineEngine::run_driven(
+                instance,
+                policy.as_ref(),
+                config,
+                &mut NoFaults,
+                FaultConfig::default(),
+                &mut mutations,
+                observer,
+            ),
+            Some(fault) => OnlineEngine::run_driven(
+                instance,
+                policy.as_ref(),
+                config,
+                &mut fault.build(rep as u64, instance.n_resources as usize),
+                fault.config,
+                &mut mutations,
+                observer,
+            ),
+        };
+        (result, start.elapsed())
     }
 
     /// Runs the offline Local-Ratio baseline over every repetition.
@@ -867,7 +742,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
         let base = exp.run_spec(spec);
-        let faulted = exp.run_spec_faulted(spec, FaultSpec::iid(0.0, 77));
+        let faulted = exp.run_scenario(
+            spec,
+            Scenario::default().with_fault(FaultSpec::iid(0.0, 77)),
+        );
         for (a, b) in base.repetitions.iter().zip(&faulted.repetitions) {
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.metrics, b.metrics);
@@ -877,7 +755,10 @@ mod tests {
     #[test]
     fn faulted_runs_lose_budget_and_stay_consistent() {
         let exp = Experiment::materialize(tiny_config());
-        let agg = exp.run_spec_faulted(PolicySpec::p(PolicyKind::MEdf), FaultSpec::iid(0.5, 7));
+        let agg = exp.run_scenario(
+            PolicySpec::p(PolicyKind::MEdf),
+            Scenario::default().with_fault(FaultSpec::iid(0.5, 7)),
+        );
         assert!(agg.metrics.probes_failed > 0);
         assert!(agg.metrics.budget_lost > 0);
         for rep in &agg.repetitions {
@@ -904,9 +785,9 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.trace = TraceSpec::Poisson { lambda: 20.0 };
         let exp = Experiment::materialize(cfg);
-        let agg = exp.run_spec_faulted(
+        let agg = exp.run_scenario(
             PolicySpec::p(PolicyKind::Mrsf),
-            FaultSpec::burst(0.4, 0.2, 11),
+            Scenario::default().with_fault(FaultSpec::burst(0.4, 0.2, 11)),
         );
         assert!(agg.metrics.resource_outages > 0);
         for rep in &agg.repetitions {
@@ -920,7 +801,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
         let base = exp.run_spec(spec);
-        let churned = exp.run_spec_churned(spec, ChurnSpec::new(0.0, 0.0, 123));
+        let churned = exp.run_scenario(
+            spec,
+            Scenario::default().with_churn(ChurnSpec::new(0.0, 0.0, 123)),
+        );
         for (a, b) in base.repetitions.iter().zip(&churned.repetitions) {
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.metrics, b.metrics);
@@ -932,7 +816,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let churn = ChurnSpec::new(0.5, 0.4, 21)
             .with_config(ChurnConfig::new(0.5, 0.4).with_reconfigurations(2));
-        let agg = exp.run_spec_churned(PolicySpec::p(PolicyKind::MEdf), churn);
+        let agg = exp.run_scenario(
+            PolicySpec::p(PolicyKind::MEdf),
+            Scenario::default().with_churn(churn),
+        );
         assert!(agg.metrics.ceis_registered > 0);
         assert!(agg.metrics.ceis_cancelled > 0);
         assert!(agg.metrics.budget_reconfigurations > 0);
@@ -946,10 +833,11 @@ mod tests {
     fn churned_faulted_runs_compose_both_overlays() {
         let exp = Experiment::materialize(tiny_config());
         let churn = ChurnSpec::new(0.4, 0.3, 33);
-        let agg = exp.run_spec_churned_faulted(
+        let agg = exp.run_scenario(
             PolicySpec::p(PolicyKind::MEdf),
-            churn,
-            Some(FaultSpec::iid(0.4, 7)),
+            Scenario::default()
+                .with_churn(churn)
+                .with_fault(FaultSpec::iid(0.4, 7)),
         );
         assert!(agg.metrics.ceis_registered > 0);
         assert!(agg.metrics.probes_failed > 0);
@@ -964,9 +852,9 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
         let churn = ChurnSpec::new(0.5, 0.4, 21);
-        let agg = exp.run_spec_churned(spec, churn);
+        let agg = exp.run_scenario(spec, Scenario::default().with_churn(churn));
         let (buf, events) = exp
-            .trace_spec_churned(spec, churn, None, 1, Vec::new())
+            .trace_scenario(spec, Scenario::default().with_churn(churn), 1, Vec::new())
             .unwrap();
         assert!(events > 0);
         let replayed =

@@ -7,8 +7,10 @@
 //! live conformance case.
 
 use webmon_core::check::InvariantObserver;
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, RunResult};
-use webmon_core::fault::{FaultConfig, FaultModel, NoFaults};
+use webmon_core::engine::{
+    EngineConfig, MutationQueue, OnlineEngine, RunResult, ScriptedMutations,
+};
+use webmon_core::fault::{FaultConfig, FaultModel};
 use webmon_core::model::{evaluate_schedule, Instance};
 use webmon_core::policy::{MEdf, Mrsf, MrsfExact, Policy, SEdf, UtilityWeighted, Wic};
 
@@ -27,52 +29,35 @@ pub fn conformant_run(instance: &Instance, policy: &dyn Policy, config: EngineCo
     run
 }
 
-/// The fault-injected twin of [`conformant_run`]: drives the engine through
-/// `faults` with a fault-aware invariant checker attached and panics on any
-/// violation. Returns the run.
-pub fn conformant_faulted_run<F: FaultModel>(
+/// The general form of [`conformant_run`]: drives the engine through
+/// `faults` and the compiled `mutations` with a fault- and churn-aware
+/// invariant checker attached and panics on any violation. Returns the run.
+pub fn conformant_driven_run<F: FaultModel>(
     instance: &Instance,
     policy: &dyn Policy,
     config: EngineConfig,
     faults: &mut F,
     fault_config: FaultConfig,
-) -> RunResult {
-    let mut checker = InvariantObserver::new(instance, config).with_faults(fault_config);
-    let run =
-        OnlineEngine::run_faulted(instance, policy, config, faults, fault_config, &mut checker);
-    let report = checker.finish_with(&run);
-    assert!(
-        report.is_clean(),
-        "{} under {} (faulted): {report}",
-        policy.name(),
-        config.label()
-    );
-    run
-}
-
-/// The churned twin of [`conformant_run`]: drains `mutations` through
-/// [`OnlineEngine::run_mutated`] with a churn-aware invariant checker
-/// attached and panics on any violation. Returns the run.
-pub fn conformant_churned_run(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
     mutations: &MutationQueue,
 ) -> RunResult {
-    let mut checker = InvariantObserver::new(instance, config).with_mutations(mutations);
-    let run = OnlineEngine::run_mutated(
+    let mut checker = InvariantObserver::new(instance, config)
+        .with_faults(fault_config)
+        .with_mutations(mutations);
+    let mut source =
+        ScriptedMutations::compile(mutations, instance.epoch.len(), instance.ceis.len());
+    let run = OnlineEngine::run_driven(
         instance,
         policy,
         config,
-        &mut NoFaults,
-        FaultConfig::default(),
-        mutations,
+        faults,
+        fault_config,
+        &mut source,
         &mut checker,
     );
     let report = checker.finish_with(&run);
     assert!(
         report.is_clean(),
-        "{} under {} (churned): {report}",
+        "{} under {} (faults/mutations): {report}",
         policy.name(),
         config.label()
     );

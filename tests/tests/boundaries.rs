@@ -134,7 +134,8 @@ fn release_equal_to_deadline_is_satisfiable() {
 #[test]
 fn dynamically_registered_release_equal_to_deadline_is_satisfiable() {
     use webmon_core::engine::MutationQueue;
-    use webmon_testkit::checks::conformant_churned_run;
+    use webmon_core::fault::{FaultConfig, NoFaults};
+    use webmon_testkit::checks::conformant_driven_run;
 
     let mut b = InstanceBuilder::new(2, 12, Budget::Uniform(1));
     let p = b.profile();
@@ -146,7 +147,14 @@ fn dynamically_registered_release_equal_to_deadline_is_satisfiable() {
     on_time
         .register(6, inst.ceis[0].id)
         .register(6, inst.ceis[1].id);
-    let run = conformant_churned_run(&inst, &Mrsf, EngineConfig::preemptive(), &on_time);
+    let run = conformant_driven_run(
+        &inst,
+        &Mrsf,
+        EngineConfig::preemptive(),
+        &mut NoFaults,
+        FaultConfig::default(),
+        &on_time,
+    );
     // Identical to the static pin: budget 1 serves exactly one deadline.
     assert_eq!(run.stats.ceis_captured, 1);
     assert_eq!(run.stats.ceis_failed, 1);
@@ -157,7 +165,14 @@ fn dynamically_registered_release_equal_to_deadline_is_satisfiable() {
     let mut late = MutationQueue::new();
     late.register(7, inst.ceis[0].id)
         .register(7, inst.ceis[1].id);
-    let run = conformant_churned_run(&inst, &Mrsf, EngineConfig::preemptive(), &late);
+    let run = conformant_driven_run(
+        &inst,
+        &Mrsf,
+        EngineConfig::preemptive(),
+        &mut NoFaults,
+        FaultConfig::default(),
+        &late,
+    );
     assert_eq!(run.stats.ceis_captured, 0);
     assert_eq!(run.stats.ceis_failed, 2);
     assert!(run

@@ -12,16 +12,16 @@
 //! 3. **Churned trace replay**: the persisted JSONL trace of a churned run
 //!    is deterministic byte for byte and replays to the live metrics.
 
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine};
+use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, ScriptedMutations};
 use webmon_core::fault::{FaultConfig, NoFaults};
 use webmon_core::model::Budget;
 use webmon_core::obs::{replay_metrics, JsonlTraceObserver, MetricsObserver, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::stats::CeiOutcome;
 use webmon_sim::parallel::serial;
-use webmon_sim::{ChurnSpec, Experiment, ExperimentConfig, PolicySpec, TraceSpec};
+use webmon_sim::{ChurnSpec, Experiment, ExperimentConfig, PolicySpec, Scenario, TraceSpec};
 use webmon_streams::SimRng;
-use webmon_testkit::checks::{conformant_churned_run, conformant_run, without_selection_steps};
+use webmon_testkit::checks::{conformant_driven_run, conformant_run, without_selection_steps};
 use webmon_testkit::corpus::{conformance_cases, small_instance};
 use webmon_workload::churn::overlay;
 use webmon_workload::{ChurnConfig, EiLength, RankSpec, WorkloadConfig};
@@ -46,7 +46,14 @@ fn empty_queue_is_bit_identical_to_the_static_engine() {
         for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
             for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
                 let stat = conformant_run(&instance, policy, config);
-                let churned = conformant_churned_run(&instance, policy, config, &empty);
+                let churned = conformant_driven_run(
+                    &instance,
+                    policy,
+                    config,
+                    &mut NoFaults,
+                    FaultConfig::default(),
+                    &empty,
+                );
                 assert_eq!(stat.schedule, churned.schedule, "seed {seed}");
                 assert_eq!(stat.stats, churned.stats, "seed {seed}");
                 assert_eq!(stat.outcomes, churned.outcomes, "seed {seed}");
@@ -96,13 +103,13 @@ fn quiescent_churn_matches_static_across_worker_counts() {
         let exp = Experiment::materialize(experiment_config());
         PolicySpec::preemption_grid()
             .into_iter()
-            .map(|s| exp.run_spec_churned(s, quiescent))
+            .map(|s| exp.run_scenario(s, Scenario::default().with_churn(quiescent)))
             .collect::<Vec<_>>()
     });
     let exp = Experiment::materialize(experiment_config());
     let churned_parallel: Vec<_> = PolicySpec::preemption_grid()
         .into_iter()
-        .map(|s| exp.run_spec_churned(s, quiescent))
+        .map(|s| exp.run_scenario(s, Scenario::default().with_churn(quiescent)))
         .collect();
 
     for (base, churned) in baseline
@@ -144,7 +151,14 @@ fn churned_corpus_runs_are_clean_and_fully_resolved() {
         }
         for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
             for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-                let run = conformant_churned_run(&instance, policy, config, &mutations);
+                let run = conformant_driven_run(
+                    &instance,
+                    policy,
+                    config,
+                    &mut NoFaults,
+                    FaultConfig::default(),
+                    &mutations,
+                );
                 assert_eq!(
                     run.stats.ceis_captured + run.stats.ceis_failed + run.stats.ceis_cancelled,
                     run.stats.n_ceis,
@@ -179,7 +193,14 @@ fn reconfigured_budget_is_respected_from_the_next_chronon() {
         let at = horizon / 2;
         let mut mutations = MutationQueue::new();
         mutations.set_budget(at, 1);
-        let run = conformant_churned_run(&instance, &Mrsf, EngineConfig::preemptive(), &mutations);
+        let run = conformant_driven_run(
+            &instance,
+            &Mrsf,
+            EngineConfig::preemptive(),
+            &mut NoFaults,
+            FaultConfig::default(),
+            &mutations,
+        );
         // Effective from `at + 1`: no later chronon may exceed one probe.
         for t in (at + 1)..horizon {
             assert!(
@@ -223,15 +244,22 @@ fn midrun_mutations_match_the_scan_reference() {
         for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
             let mut runs = Vec::new();
             for config in [base.with_scan(), base] {
-                let run = conformant_churned_run(&inst, policy, config, &mutations);
-                let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
-                OnlineEngine::run_mutated(
+                let run = conformant_driven_run(
                     &inst,
                     policy,
                     config,
                     &mut NoFaults,
                     FaultConfig::default(),
                     &mutations,
+                );
+                let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
+                OnlineEngine::run_driven(
+                    &inst,
+                    policy,
+                    config,
+                    &mut NoFaults,
+                    FaultConfig::default(),
+                    &mut ScriptedMutations::compile(&mutations, inst.epoch.len(), inst.ceis.len()),
                     &mut tee,
                 );
                 let Tee(metrics, trace) = tee;
@@ -263,13 +291,17 @@ fn churned_trace_replays_byte_for_byte() {
         let mut traces = Vec::new();
         for _ in 0..2 {
             let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
-            OnlineEngine::run_mutated(
+            OnlineEngine::run_driven(
                 &instance,
                 &Mrsf,
                 EngineConfig::preemptive(),
                 &mut NoFaults,
                 FaultConfig::default(),
-                &mutations,
+                &mut ScriptedMutations::compile(
+                    &mutations,
+                    instance.epoch.len(),
+                    instance.ceis.len(),
+                ),
                 &mut tee,
             );
             let Tee(metrics, trace) = tee;

@@ -9,10 +9,12 @@
 
 use webmon_core::diagnostics::ScheduleDiagnostics;
 use webmon_core::engine::{EngineConfig, OnlineEngine};
-use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics};
+use webmon_core::obs::{replay_metrics, JsonlTraceObserver, MetricsObserver, RunMetrics};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf};
 use webmon_sim::parallel::{par_map_with, serial};
-use webmon_sim::{Experiment, ExperimentConfig, PolicyKind, PolicySpec, TraceSpec};
+use webmon_sim::{
+    ChurnSpec, Experiment, ExperimentConfig, FaultSpec, PolicyKind, PolicySpec, Scenario, TraceSpec,
+};
 use webmon_workload::{EiLength, RankSpec, WorkloadConfig};
 
 /// The shared fixture: a contended mid-size workload (same shape as the
@@ -123,6 +125,38 @@ fn aggregate_metrics_are_worker_count_invariant() {
     }
     let manual = RunMetrics::merged(pooled.repetitions.iter().map(|o| &o.metrics));
     assert_eq!(pooled.metrics, manual, "merge order drifted");
+}
+
+/// The trace is the exact run it scores: for every scenario shape (plain,
+/// faulted, churned, churned + faulted) and both modes, replaying the
+/// rep-0 trace of `trace_scenario` reproduces rep 0's metrics of
+/// `run_scenario` bit for bit.
+#[test]
+fn scenario_traces_replay_to_the_scored_metrics() {
+    let exp = Experiment::materialize(config());
+    let fault = FaultSpec::iid(0.3, 0x5EED);
+    let churn = ChurnSpec::new(0.3, 0.2, 0x5EED);
+    let scenarios = [
+        Scenario::default(),
+        Scenario::default().with_fault(fault),
+        Scenario::default().with_churn(churn),
+        Scenario::default().with_churn(churn).with_fault(fault),
+    ];
+    for scenario in scenarios {
+        for spec in [
+            PolicySpec::p(PolicyKind::Mrsf),
+            PolicySpec::np(PolicyKind::Mrsf),
+        ] {
+            let agg = exp.run_scenario(spec, scenario);
+            let (trace, _) = exp.trace_scenario(spec, scenario, 0, Vec::new()).unwrap();
+            let replayed = replay_metrics(std::str::from_utf8(&trace).unwrap()).unwrap();
+            assert_eq!(
+                replayed, agg.repetitions[0].metrics,
+                "{} under {scenario:?}",
+                agg.label
+            );
+        }
+    }
 }
 
 /// The JSONL trace is a faithful, reproducible transcript: re-tracing the

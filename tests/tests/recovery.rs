@@ -122,22 +122,27 @@ impl Case {
             match self.fault {
                 Some((rate, seed)) => {
                     let mut model = IidFaults::new(rate, seed);
-                    OnlineEngine::run_faulted(
+                    OnlineEngine::run_driven(
                         &self.instance,
                         policy.as_ref(),
                         self.config,
                         &mut model,
                         self.fault_config,
+                        &mut ScriptedMutations::default(),
                         &mut tee,
                     )
                 }
-                None => OnlineEngine::run_mutated(
+                None => OnlineEngine::run_driven(
                     &self.instance,
                     policy.as_ref(),
                     self.config,
                     &mut NoFaults,
                     self.fault_config,
-                    &self.queue,
+                    &mut ScriptedMutations::compile(
+                        &self.queue,
+                        self.instance.epoch.len(),
+                        self.instance.ceis.len(),
+                    ),
                     &mut tee,
                 ),
             }

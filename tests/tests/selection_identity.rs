@@ -22,7 +22,7 @@
 //! execution (jobs 1 vs 4), so the worker pool cannot reorder the
 //! incremental bookkeeping.
 
-use webmon_core::engine::{EngineConfig, OnlineEngine, SelectionStrategy};
+use webmon_core::engine::{EngineConfig, OnlineEngine, ScriptedMutations, SelectionStrategy};
 use webmon_core::fault::{FaultConfig, IidFaults};
 use webmon_core::model::Instance;
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
@@ -77,12 +77,13 @@ fn observed(
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
         if fault_rate > 0.0 {
-            OnlineEngine::run_faulted(
+            OnlineEngine::run_driven(
                 instance,
                 policy,
                 config,
                 &mut IidFaults::new(fault_rate, seed),
                 FaultConfig::charged(),
+                &mut ScriptedMutations::default(),
                 &mut tee,
             )
         } else {

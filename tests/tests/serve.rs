@@ -25,7 +25,7 @@ use webmon_cli::serve::{Daemon, DaemonOutcome, ServeOptions, ServeSession};
 use webmon_core::engine::{
     EngineConfig, Mutation, MutationQueue, OnlineEngine, RunResult, ScriptedMutations,
 };
-use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
+use webmon_core::fault::{Backoff, FaultConfig, FaultModel, IidFaults, NoFaults};
 use webmon_core::model::{Budget, CeiId, Instance, InstanceBuilder};
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
@@ -64,44 +64,27 @@ fn sim_observed(
     (result, metrics.finish(), trace.finish().unwrap())
 }
 
-/// Same through the fault-injected entry point.
-fn sim_observed_faulted(
+/// Same through `run_driven` under a fault model and a compiled churn
+/// script.
+fn sim_driven<F: FaultModel>(
     instance: &Instance,
     policy: &dyn Policy,
     config: EngineConfig,
-    rate: f64,
-    seed: u64,
+    faults: &mut F,
     fault_config: FaultConfig,
-) -> (RunResult, RunMetrics, Vec<u8>) {
-    let mut metrics = MetricsObserver::new();
-    let mut trace = JsonlTraceObserver::new(Vec::new());
-    let mut model = IidFaults::new(rate, seed);
-    let result = {
-        let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_faulted(instance, policy, config, &mut model, fault_config, &mut tee)
-    };
-    assert_eq!(trace.write_errors(), 0);
-    (result, metrics.finish(), trace.finish().unwrap())
-}
-
-/// Same through the churned entry point.
-fn sim_observed_mutated(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
     queue: &MutationQueue,
 ) -> (RunResult, RunMetrics, Vec<u8>) {
     let mut metrics = MetricsObserver::new();
     let mut trace = JsonlTraceObserver::new(Vec::new());
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             instance,
             policy,
             config,
-            &mut NoFaults,
-            FaultConfig::default(),
-            queue,
+            faults,
+            fault_config,
+            &mut ScriptedMutations::compile(queue, instance.epoch.len(), instance.ceis.len()),
             &mut tee,
         )
     };
@@ -197,20 +180,22 @@ fn daemon_replay_is_bit_identical_to_simulator_on_corpus_slice() {
 }
 
 /// The identity holds through the fault path: a scripted i.i.d. fault model
-/// behind the replay executor ≡ the simulator's `run_faulted`, including
+/// behind the replay executor ≡ the simulator's faulted `run_driven`, including
 /// retry/backoff accounting.
 #[test]
 fn faulted_daemon_matches_faulted_simulator() {
     let instance = small_instance(3, false);
     let fault_config = FaultConfig::charged().with_backoff(Backoff::new(1, 8));
+    let none = MutationQueue::new();
     for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-        let sim = sim_observed_faulted(&instance, &MEdf, config, 0.4, 77, fault_config);
+        let mut model = IidFaults::new(0.4, 77);
+        let sim = sim_driven(&instance, &MEdf, config, &mut model, fault_config, &none);
         let daemon = daemon_observed(
             &instance,
             Box::new(MEdf),
             config,
             fault_config,
-            &MutationQueue::new(),
+            &none,
             ReplayExecutor::scripted(IidFaults::new(0.4, 77)),
         );
         assert_identical(&format!("faulted {}", config.label()), &sim, &daemon);
@@ -218,8 +203,8 @@ fn faulted_daemon_matches_faulted_simulator() {
     }
 }
 
-/// And through the churn path: a compiled churn script ≡ `run_mutated` on
-/// the same queue.
+/// And through the churn path: a compiled churn script ≡ `run_driven` on
+/// the same compiled queue.
 #[test]
 fn churned_daemon_matches_churned_simulator() {
     let instance = small_instance(5, false);
@@ -227,7 +212,14 @@ fn churned_daemon_matches_churned_simulator() {
     let queue = overlay(&instance, &config, &SimRng::new(0xC0DE));
     assert!(!queue.is_empty(), "churn overlay must script something");
     let engine = EngineConfig::preemptive();
-    let sim = sim_observed_mutated(&instance, &MEdf, engine, &queue);
+    let sim = sim_driven(
+        &instance,
+        &MEdf,
+        engine,
+        &mut NoFaults,
+        FaultConfig::default(),
+        &queue,
+    );
     let daemon = daemon_observed(
         &instance,
         Box::new(MEdf),
