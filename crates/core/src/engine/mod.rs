@@ -32,7 +32,15 @@
 //! opens and removed at the exact transition that kills them (capture,
 //! expiry, shed, parent resolution, cancellation), expiries visit only the
 //! windows closing at the current chronon, and a CEI joins `cands⁺` on its
-//! first capture instead of through a pool pass. For a policy whose
+//! first capture instead of through a pool pass. Per-run CEI and EI state
+//! is flat: a one-byte status per CEI, and captured / expired flags
+//! indexed by the same dense global EI id as the pool's liveness bitmap,
+//! with per-CEI counters. An arrival is a status write, a capture or
+//! expiry a flag write and a counter bump, and nothing on the run path
+//! allocates per CEI. The window buckets (`starts[t]`, `ends[t]`) are two
+//! flat arrays with per-chronon offsets, built by counting sort in
+//! sequential passes over the instance, with no per-entry lookup and no
+//! sort. For a policy whose
 //! candidate order does not depend on time ([`crate::policy::Policy::key_order`]:
 //! S-EDF, MRSF), the default [`SelectionStrategy::Incremental`] keeps one
 //! heap per phase class across chronons, so per-chronon cost is

@@ -1,9 +1,9 @@
 //! The run loop implementing Algorithm 1 (Online Complex Monitoring).
 
-use super::index::{CandidateIndex, PoolEntry};
+use super::index::{window_buckets, CandidateIndex, PoolEntry};
 use super::mutation::{Mutation, MutationSource, ScriptedMutations};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
-use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
+use crate::model::{CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
 use crate::policy::{Candidate, CeiView, KeyOrder, Policy, PolicyContext, ResourceStats};
 use crate::serve::snapshot::{CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
@@ -125,27 +125,20 @@ pub struct RunResult {
     pub outcomes: Vec<CeiOutcome>,
 }
 
-/// Lifecycle of a CEI inside the engine.
+/// Lifecycle of a CEI inside the engine. Per-EI capture progress lives in
+/// the [`CandidateIndex`]'s flat flag arrays, so this is one byte per CEI.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Release chronon not reached yet.
     NotArrived,
-    /// Released; tracking which EIs have been captured.
-    Active(CaptureSet),
-    /// All EIs captured.
+    /// Released; its EIs' capture flags are being tracked.
+    Active,
+    /// Its `required` EIs were captured.
     Captured,
-    /// An EI expired uncaptured.
+    /// Too many EIs expired uncaptured.
     Failed,
     /// Cancelled mid-run through the mutation API; never resolves.
     Cancelled,
-}
-
-impl Status {
-    fn capture_set(&self) -> Option<&CaptureSet> {
-        match self {
-            Status::Active(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 /// The online complex-monitoring engine. See the [module docs](crate::engine)
@@ -329,37 +322,17 @@ impl OnlineEngine {
         };
 
         // The candidate pool, grouped by resource with incremental removal
-        // and live counts. Allocated once and reused for the whole run.
+        // and live counts, plus every EI's capture flags. Allocated once and
+        // reused for the whole run.
         let mut index = CandidateIndex::new(instance);
 
         // Bucket EIs by start chronon so each enters the pool exactly when
         // its window opens, and by end chronon so the expiry pass visits
         // only the windows closing now instead of scanning the whole pool.
-        // Both buckets hold entries in the legacy pool order
-        // `(start, cei, ei_idx)`: the fill order is cei-major (dense ids,
-        // ascending), and each ends bucket is stable-sorted by start on top
-        // of it. A window ending at or past the horizon never expires
-        // inside the epoch, exactly as the per-chronon `end == t` test
-        // behaved.
-        let mut starts: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
-        let mut ends: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
-        for cei in &instance.ceis {
-            for (idx, ei) in cei.eis.iter().enumerate() {
-                let entry = PoolEntry {
-                    cei: cei.id,
-                    ei_idx: idx as u16,
-                };
-                starts[ei.start as usize].push(entry);
-                if (ei.end as usize) < ends.len() {
-                    ends[ei.end as usize].push(entry);
-                }
-            }
-        }
-        for bucket in &mut ends {
-            bucket.sort_by_key(|e| instance.cei(e.cei).eis[e.ei_idx as usize].start);
-        }
+        // Both buckets keep pool order (see `window_buckets`).
+        let (starts, ends) = window_buckets(&instance.ceis, horizon);
 
-        let mut status: Vec<Status> = (0..n_ceis).map(|_| Status::NotArrived).collect();
+        let mut status = vec![Status::NotArrived; n_ceis];
         let mut outcomes = vec![CeiOutcome::Pending; n_ceis];
         let mut schedule = Schedule::new(instance.n_resources, instance.epoch);
         // `probes_available` accumulates the effective per-chronon budget
@@ -436,10 +409,8 @@ impl OnlineEngine {
                                 instance.ceis[i].size(),
                                 "snapshot capture flags disagree with CEI {i}'s size"
                             );
-                            Status::Active(CaptureSet::from_flags(
-                                captured.clone(),
-                                expired.clone(),
-                            ))
+                            index.restore_flags(CeiId(i as u32), captured, expired);
+                            Status::Active
                         }
                         CeiState::Captured => Status::Captured,
                         CeiState::Failed => Status::Failed,
@@ -470,8 +441,8 @@ impl OnlineEngine {
                         );
                     }
                 }
-                for (started, s) in started_snapshot.iter_mut().zip(&status) {
-                    *started = s.capture_set().is_some_and(CaptureSet::is_started);
+                for (i, (started, &s)) in started_snapshot.iter_mut().zip(&status).enumerate() {
+                    *started = s == Status::Active && index.n_captured(CeiId(i as u32)) > 0;
                 }
                 // The keyed heaps are not part of the snapshot: their valid
                 // copies are exactly the live entries, so reseeding from the
@@ -480,7 +451,14 @@ impl OnlineEngine {
                     for r in 0..n_res {
                         for &e in index.entries(r) {
                             if index.is_live(e) {
-                                k.push_entry(instance, policy, &status, &started_snapshot, e);
+                                k.push_entry(
+                                    instance,
+                                    policy,
+                                    &index,
+                                    &status,
+                                    &started_snapshot,
+                                    e,
+                                );
                             }
                         }
                     }
@@ -541,31 +519,28 @@ impl OnlineEngine {
                 for &m in &drained {
                     match m {
                         Mutation::Register { cei: id } => {
-                            if !matches!(status[id.index()], Status::NotArrived) {
+                            if status[id.index()] != Status::NotArrived {
                                 continue; // already live, resolved, or cancelled
                             }
                             let cei = instance.cei(id);
-                            let mut cap = CaptureSet::new(cei.size());
                             // Windows already closed expire on the spot;
                             // open windows (strictly `start < t` — the
                             // `starts[t]` bucket below owns `start == t`)
                             // enter the pool now; future windows ride the
                             // prebuilt buckets. O(own EIs) throughout.
                             for (idx, ei) in cei.eis.iter().enumerate() {
+                                let e = PoolEntry {
+                                    cei: id,
+                                    ei_idx: idx as u16,
+                                };
                                 if ei.end < t {
-                                    cap.mark_expired(idx);
+                                    index.mark_expired(e);
                                 } else if ei.start < t {
-                                    index.insert(
-                                        PoolEntry {
-                                            cei: id,
-                                            ei_idx: idx as u16,
-                                        },
-                                        ei.resource.index(),
-                                    );
+                                    index.insert(e, ei.resource.index());
                                 }
                             }
                             observer.on_event(Event::CeiRegistered { cei: id, at: t });
-                            if cap.is_doomed(cei.required) {
+                            if index.is_doomed(id, cei.required) {
                                 // Registered too late: the already-closed
                                 // windows alone make `required` unreachable.
                                 let outcome = CeiOutcome::Failed { at: t };
@@ -575,7 +550,7 @@ impl OnlineEngine {
                                 observer.on_event(Event::CeiExpired { cei: id, at: t });
                                 index.remove_cei(instance, id);
                             } else {
-                                status[id.index()] = Status::Active(cap);
+                                status[id.index()] = Status::Active;
                                 if let Some(k) = keyed.as_mut() {
                                     k.push_cei(
                                         instance,
@@ -589,8 +564,7 @@ impl OnlineEngine {
                             }
                         }
                         Mutation::Cancel { cei: id } => {
-                            if !matches!(status[id.index()], Status::NotArrived | Status::Active(_))
-                            {
+                            if !matches!(status[id.index()], Status::NotArrived | Status::Active) {
                                 continue; // already resolved or cancelled
                             }
                             let outcome = CeiOutcome::Cancelled { at: t };
@@ -662,8 +636,8 @@ impl OnlineEngine {
                 if mutations_on && mutations.suppresses_release(id) {
                     continue;
                 }
-                if matches!(status[id.index()], Status::NotArrived) {
-                    status[id.index()] = Status::Active(CaptureSet::new(instance.cei(id).size()));
+                if status[id.index()] == Status::NotArrived {
+                    status[id.index()] = Status::Active;
                 }
             }
 
@@ -677,13 +651,13 @@ impl OnlineEngine {
             // competes over.
             index.sweep();
             has_update.fill(false);
-            for &e in &starts[t as usize] {
-                if matches!(status[e.cei.index()], Status::Active(_)) {
+            for &e in starts.at(t) {
+                if status[e.cei.index()] == Status::Active {
                     let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
                     index.insert(e, r);
                     has_update[r] = true;
                     if let Some(k) = keyed.as_mut() {
-                        k.push_entry(instance, policy, &status, &started_snapshot, e);
+                        k.push_entry(instance, policy, &index, &status, &started_snapshot, e);
                     }
                 }
             }
@@ -727,7 +701,7 @@ impl OnlineEngine {
                                 continue;
                             }
                             if let Some(score) =
-                                score_entry(instance, policy, &ctx, &status, e, snapshot)
+                                score_entry(instance, policy, &ctx, &index, &status, e, snapshot)
                             {
                                 heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
                             }
@@ -768,6 +742,7 @@ impl OnlineEngine {
                             policy,
                             &ctx,
                             &mut heap,
+                            &index,
                             &status,
                             &probed_now,
                             &fault_blocked,
@@ -846,14 +821,21 @@ impl OnlineEngine {
                             // persistent heap keeps it either way (a blocked
                             // one is set aside when popped again).
                             if let Some(k) = keyed.as_mut() {
-                                k.push_entry(instance, policy, &status, &started_snapshot, best);
+                                k.push_entry(
+                                    instance,
+                                    policy,
+                                    &index,
+                                    &status,
+                                    &started_snapshot,
+                                    best,
+                                );
                             } else if selection == SelectionStrategy::Incremental
                                 && !fault_blocked[ri]
                             {
                                 let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
-                                if let Some(score) =
-                                    score_entry(instance, policy, &ctx, &status, best, snapshot)
-                                {
+                                if let Some(score) = score_entry(
+                                    instance, policy, &ctx, &index, &status, best, snapshot,
+                                ) {
                                     heap.push(std::cmp::Reverse((score, best.cei.0, best.ei_idx)));
                                 }
                             }
@@ -951,9 +933,9 @@ impl OnlineEngine {
                                 if !index.is_live(e) || probed_now[ei.resource.index()] {
                                     continue;
                                 }
-                                if let Some(score) =
-                                    score_entry(instance, policy, &ctx, &status, e, snapshot)
-                                {
+                                if let Some(score) = score_entry(
+                                    instance, policy, &ctx, &index, &status, e, snapshot,
+                                ) {
                                     heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
                                 }
                             }
@@ -988,24 +970,21 @@ impl OnlineEngine {
             // paper's AND semantics: on the first expiry). Only the windows
             // closing at t are visited — their bucket keeps pool order.
             transitions.clear();
-            for e in &ends[t as usize] {
-                let cei = instance.cei(e.cei);
-                let r = cei.eis[e.ei_idx as usize].resource.index();
-                if !index.is_live(*e) {
+            for &e in ends.at(t) {
+                if !index.is_live(e) {
                     continue; // never entered, captured, or already removed
                 }
-                let Status::Active(cap) = &mut status[e.cei.index()] else {
-                    continue;
-                };
-                if cap.mark_expired(e.ei_idx as usize) {
-                    index.remove(*e, r);
-                    if cap.is_doomed(cei.required) {
+                debug_assert!(status[e.cei.index()] == Status::Active);
+                if index.mark_expired(e) {
+                    let cei = instance.cei(e.cei);
+                    index.remove(e, cei.eis[e.ei_idx as usize].resource.index());
+                    if index.is_doomed(e.cei, cei.required) {
                         transitions.push((e.cei, CeiOutcome::Failed { at: t }));
                     }
                 }
             }
             for &(id, outcome) in &transitions {
-                if matches!(status[id.index()], Status::Active(_)) {
+                if status[id.index()] == Status::Active {
                     status[id.index()] = Status::Failed;
                     outcomes[id.index()] = outcome;
                     stats.record_outcome_of(instance.cei(id), outcome);
@@ -1046,19 +1025,19 @@ impl OnlineEngine {
                         cei: CeiId(cei_id),
                         ei_idx,
                     };
-                    let Status::Active(cap) = &mut status[e.cei.index()] else {
+                    if status[e.cei.index()] != Status::Active {
                         continue;
-                    };
+                    }
                     let cei = instance.cei(e.cei);
-                    if cap.mark_expired(ei_idx as usize) {
+                    if index.mark_expired(e) {
                         index.remove(e, cei.eis[ei_idx as usize].resource.index());
-                        if cap.is_doomed(cei.required) {
+                        if index.is_doomed(e.cei, cei.required) {
                             transitions.push((e.cei, CeiOutcome::Failed { at: t }));
                         }
                     }
                 }
                 for &(id, outcome) in &transitions {
-                    if matches!(status[id.index()], Status::Active(_)) {
+                    if status[id.index()] == Status::Active {
                         status[id.index()] = Status::Failed;
                         outcomes[id.index()] = outcome;
                         stats.record_outcome_of(instance.cei(id), outcome);
@@ -1082,7 +1061,7 @@ impl OnlineEngine {
         // whose unreleased-at-expiry EIs never joined the pool, so no
         // expiry event ever doomed them (`Active`).
         for (i, s) in status.iter().enumerate() {
-            if matches!(s, Status::Active(_) | Status::NotArrived) {
+            if matches!(s, Status::Active | Status::NotArrived) {
                 stats.record_outcome_of(&instance.ceis[i], CeiOutcome::Pending);
             }
         }
@@ -1128,11 +1107,12 @@ fn snapshot_state(
         at: t,
         status: status
             .iter()
-            .map(|s| match s {
+            .enumerate()
+            .map(|(i, s)| match s {
                 Status::NotArrived => CeiState::NotArrived,
-                Status::Active(cap) => CeiState::Active {
-                    captured: cap.flags().to_vec(),
-                    expired: cap.expired_flags().to_vec(),
+                Status::Active => CeiState::Active {
+                    captured: index.captured(CeiId(i as u32)).to_vec(),
+                    expired: index.expired(CeiId(i as u32)).to_vec(),
                 },
                 Status::Captured => CeiState::Captured,
                 Status::Failed => CeiState::Failed,
@@ -1155,11 +1135,11 @@ fn snapshot_state(
 /// is neither captured nor expired; `None` otherwise.
 fn candidate<'a>(
     instance: &'a Instance,
-    status: &'a [Status],
+    index: &'a CandidateIndex,
+    status: &[Status],
     e: PoolEntry,
 ) -> Option<Candidate<'a>> {
-    let cap = status[e.cei.index()].capture_set()?;
-    if cap.is_captured(e.ei_idx as usize) || cap.is_expired(e.ei_idx as usize) {
+    if status[e.cei.index()] != Status::Active || !index.is_open(e) {
         return None;
     }
     let cei = instance.cei(e.cei);
@@ -1168,8 +1148,8 @@ fn candidate<'a>(
         ei_index: e.ei_idx as usize,
         cei: CeiView {
             eis: &cei.eis,
-            captured: cap.flags(),
-            n_captured: cap.n_captured() as u16,
+            captured: index.captured(e.cei),
+            n_captured: index.n_captured(e.cei),
             required: cei.required,
             weight: cei.weight,
             profile_rank: instance.profiles[cei.profile.index()].rank,
@@ -1183,6 +1163,7 @@ fn score_entry(
     instance: &Instance,
     policy: &dyn Policy,
     ctx: &PolicyContext<'_>,
+    index: &CandidateIndex,
     status: &[Status],
     e: PoolEntry,
     phase: Option<(bool, &[bool])>,
@@ -1192,17 +1173,18 @@ fn score_entry(
             return None;
         }
     }
-    Some(policy.score(ctx, &candidate(instance, status, e)?))
+    Some(policy.score(ctx, &candidate(instance, index, status, e)?))
 }
 
 /// The current [`Policy::order_key`] of a capturable pool entry.
 fn key_of(
     instance: &Instance,
     policy: &dyn Policy,
+    index: &CandidateIndex,
     status: &[Status],
     e: PoolEntry,
 ) -> Option<i64> {
-    policy.order_key(&candidate(instance, status, e)?)
+    policy.order_key(&candidate(instance, index, status, e)?)
 }
 
 /// Phase class of the started (cands⁺) heap, and of every entry in
@@ -1259,11 +1241,13 @@ impl KeyedHeaps {
         &mut self,
         instance: &Instance,
         policy: &dyn Policy,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
         e: PoolEntry,
     ) {
-        let key = key_of(instance, policy, status, e).expect("a keyed policy keys every candidate");
+        let key = key_of(instance, policy, index, status, e)
+            .expect("a keyed policy keys every candidate");
         let class = self.class(started, e.cei);
         self.heaps[class].push(std::cmp::Reverse((key, e.cei.0, e.ei_idx)));
     }
@@ -1285,7 +1269,7 @@ impl KeyedHeaps {
                 ei_idx: idx as u16,
             };
             if index.is_live(e) {
-                self.push_entry(instance, policy, status, started, e);
+                self.push_entry(instance, policy, index, status, started, e);
             }
         }
     }
@@ -1308,7 +1292,8 @@ impl KeyedHeaps {
         };
         index.is_live(e)
             && self.class(started, e.cei) == class
-            && (!self.order.changes_on_capture || key_of(instance, policy, status, e) == Some(key))
+            && (!self.order.changes_on_capture
+                || key_of(instance, policy, index, status, e) == Some(key))
     }
 
     /// Pops the minimum eligible entry of `class`: non-current copies are
@@ -1458,7 +1443,7 @@ fn argmin_candidate(
             if !index.is_live(*e) {
                 continue;
             }
-            let Some(score) = score_entry(instance, policy, ctx, status, *e, phase) else {
+            let Some(score) = score_entry(instance, policy, ctx, index, status, *e, phase) else {
                 continue;
             };
             let better = match &best {
@@ -1483,6 +1468,7 @@ fn pop_valid(
     policy: &dyn Policy,
     ctx: &PolicyContext<'_>,
     heap: &mut ScoreHeap,
+    index: &CandidateIndex,
     status: &[Status],
     probed_now: &[bool],
     blocked: &[bool],
@@ -1503,7 +1489,7 @@ fn pop_valid(
         if blocked[resource.index()] {
             continue; // down, backing off, or out of retry quota
         }
-        let Some(current) = score_entry(instance, policy, ctx, status, e, phase) else {
+        let Some(current) = score_entry(instance, policy, ctx, index, status, e, phase) else {
             continue; // no longer live
         };
         if current != stored {
@@ -1544,13 +1530,13 @@ fn capture_resource<O: Observer>(
         if !index.is_live(*e) {
             continue; // tombstone awaiting a sweep
         }
-        let Status::Active(cap) = &mut status[e.cei.index()] else {
-            debug_assert!(false, "live entry with a resolved parent");
-            continue;
-        };
+        debug_assert!(
+            status[e.cei.index()] == Status::Active,
+            "live entry with a resolved parent"
+        );
         let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
         debug_assert!(ei.resource.index() == resource && ei.is_active(t));
-        if cap.capture(e.ei_idx as usize) {
+        if index.capture(*e) {
             index.mark_captured(*e, resource);
             stats.eis_captured += 1;
             observer.on_event(Event::EiCaptured {
@@ -1564,7 +1550,7 @@ fn capture_resource<O: Observer>(
             // Record completion exactly once: when this capture crosses the
             // threshold (under threshold semantics `meets` stays true for
             // every further capture in the same probe).
-            if cap.n_captured() == usize::from(instance.cei(e.cei).required) {
+            if index.n_captured(e.cei) == instance.cei(e.cei).required {
                 completed.push((e.cei, CeiOutcome::Captured { at: t }));
             }
         }
@@ -1595,10 +1581,10 @@ fn capture_single<O: Observer>(
     outcomes: &mut [CeiOutcome],
     observer: &mut O,
 ) {
-    let Status::Active(cap) = &mut status[entry.cei.index()] else {
+    if status[entry.cei.index()] != Status::Active {
         return;
-    };
-    if cap.capture(entry.ei_idx as usize) {
+    }
+    if index.capture(entry) {
         let ei = instance.cei(entry.cei).eis[entry.ei_idx as usize];
         index.remove(entry, ei.resource.index());
         stats.eis_captured += 1;
@@ -1607,7 +1593,7 @@ fn capture_single<O: Observer>(
             cei: entry.cei,
             latency: t - ei.start,
         });
-        if cap.n_captured() == usize::from(instance.cei(entry.cei).required) {
+        if index.n_captured(entry.cei) == instance.cei(entry.cei).required {
             let outcome = CeiOutcome::Captured { at: t };
             status[entry.cei.index()] = Status::Captured;
             outcomes[entry.cei.index()] = outcome;
@@ -2603,6 +2589,74 @@ mod tests {
                 "no attempt may announce itself as a retry of the cancelled CEI's streak"
             );
         }
+    }
+
+    /// Snapshots the contended instance's S-EDF(P) run at the first
+    /// boundary with an `Active` CEI, passes that CEI's flags (`captured`,
+    /// `expired`) through `corrupt`, and resumes from the corrupted
+    /// snapshot.
+    fn resume_corrupted(corrupt: impl FnOnce(&mut Vec<bool>, &mut Vec<bool>)) {
+        use crate::serve::snapshot::CaptureAt;
+        let inst = contended_instance();
+        let run = |resume: Option<&EngineSnapshot>, sink: &mut dyn SnapshotSink| {
+            OnlineEngine::run_driven_resumable(
+                &inst,
+                &SEdf,
+                EngineConfig::preemptive(),
+                &mut NoFaults,
+                FaultConfig::default(),
+                &mut ScriptedMutations::default(),
+                &mut NoopObserver,
+                resume,
+                sink,
+            )
+        };
+        let mut sink = CaptureAt::new((0..inst.epoch.len()).collect());
+        run(None, &mut sink);
+        let mut snap = sink
+            .taken
+            .into_iter()
+            .find(|s| {
+                s.status
+                    .iter()
+                    .any(|c| matches!(c, CeiState::Active { .. }))
+            })
+            .expect("a boundary with an active CEI");
+        let Some(CeiState::Active { captured, expired }) = snap
+            .status
+            .iter_mut()
+            .find(|c| matches!(c, CeiState::Active { .. }))
+        else {
+            unreachable!("the boundary has an active CEI")
+        };
+        corrupt(captured, expired);
+        run(Some(&snap), &mut NoSnapshots);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree with CEI")]
+    fn restore_rejects_flags_of_the_wrong_size() {
+        resume_corrupted(|captured, expired| {
+            captured.push(false);
+            expired.push(false);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "flag vectors must align")]
+    fn restore_rejects_misaligned_flag_vectors() {
+        resume_corrupted(|_, expired| {
+            expired.push(false);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "both captured and expired")]
+    fn restore_rejects_an_ei_both_captured_and_expired() {
+        resume_corrupted(|captured, expired| {
+            captured[0] = true;
+            expired[0] = true;
+        });
     }
 
     #[test]

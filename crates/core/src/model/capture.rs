@@ -130,153 +130,6 @@ fn cei_outcome(cei: &Cei, schedule: &Schedule) -> (CeiOutcome, u64) {
     (outcome, captured_eis)
 }
 
-/// Incremental capture bookkeeping for one CEI: which of its EIs a schedule
-/// has captured so far. Used by the online engine and the offline schedule
-/// realizers, where re-scanning the schedule per EI (as the pure indicator
-/// functions do) would be quadratic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CaptureSet {
-    captured: Vec<bool>,
-    expired: Vec<bool>,
-    n_captured: usize,
-    n_expired: usize,
-}
-
-impl CaptureSet {
-    /// A capture set for a CEI with `size` EIs, initially all uncaptured.
-    pub fn new(size: usize) -> Self {
-        CaptureSet {
-            captured: vec![false; size],
-            expired: vec![false; size],
-            n_captured: 0,
-            n_expired: 0,
-        }
-    }
-
-    /// Marks EI `idx` captured. Idempotent; returns `true` if newly captured.
-    ///
-    /// # Panics
-    /// Panics if the EI already expired uncaptured — a closed window cannot
-    /// be captured.
-    pub fn capture(&mut self, idx: usize) -> bool {
-        assert!(!self.expired[idx], "EI {idx} already expired uncaptured");
-        if self.captured[idx] {
-            false
-        } else {
-            self.captured[idx] = true;
-            self.n_captured += 1;
-            true
-        }
-    }
-
-    /// Rebuilds a capture set from per-EI `captured`/`expired` flags — the
-    /// inverse of [`flags`](Self::flags) + [`expired_flags`](Self::expired_flags),
-    /// used when restoring engine state from a serialized snapshot. Counts
-    /// are recomputed from the flags.
-    ///
-    /// # Panics
-    /// Panics if the two flag vectors disagree in length or any EI claims
-    /// to be both captured and expired.
-    pub fn from_flags(captured: Vec<bool>, expired: Vec<bool>) -> Self {
-        assert_eq!(captured.len(), expired.len(), "flag vectors must align");
-        let n_captured = captured.iter().filter(|&&c| c).count();
-        let n_expired = expired.iter().filter(|&&e| e).count();
-        assert!(
-            captured.iter().zip(&expired).all(|(&c, &e)| !(c && e)),
-            "an EI cannot be both captured and expired"
-        );
-        CaptureSet {
-            captured,
-            expired,
-            n_captured,
-            n_expired,
-        }
-    }
-
-    /// Marks an uncaptured EI's window as closed. Idempotent; no effect on
-    /// captured EIs. Returns `true` if newly expired.
-    pub fn mark_expired(&mut self, idx: usize) -> bool {
-        if self.captured[idx] || self.expired[idx] {
-            false
-        } else {
-            self.expired[idx] = true;
-            self.n_expired += 1;
-            true
-        }
-    }
-
-    /// `true` iff EI `idx` has been captured.
-    #[inline]
-    pub fn is_captured(&self, idx: usize) -> bool {
-        self.captured[idx]
-    }
-
-    /// `true` iff EI `idx` expired uncaptured.
-    #[inline]
-    pub fn is_expired(&self, idx: usize) -> bool {
-        self.expired[idx]
-    }
-
-    /// Number of EIs captured so far (`Σ_{I' ∈ η} X(I', S)`).
-    #[inline]
-    pub fn n_captured(&self) -> usize {
-        self.n_captured
-    }
-
-    /// Number of EIs still to capture.
-    #[inline]
-    pub fn n_remaining(&self) -> usize {
-        self.captured.len() - self.n_captured
-    }
-
-    /// Number of EIs that can still be captured (not yet expired), counting
-    /// already-captured ones — the ceiling on the final capture count.
-    #[inline]
-    pub fn n_possible(&self) -> usize {
-        self.captured.len() - self.n_expired
-    }
-
-    /// `true` iff at least `required` EIs are captured — the CEI is
-    /// satisfied under threshold semantics (`required = |η|` is the paper's
-    /// AND).
-    #[inline]
-    pub fn meets(&self, required: u16) -> bool {
-        self.n_captured >= usize::from(required)
-    }
-
-    /// `true` iff fewer than `required` EIs can ever be captured — the CEI
-    /// is doomed.
-    #[inline]
-    pub fn is_doomed(&self, required: u16) -> bool {
-        self.n_possible() < usize::from(required)
-    }
-
-    /// `true` iff every EI is captured.
-    #[inline]
-    pub fn is_complete(&self) -> bool {
-        self.n_captured == self.captured.len()
-    }
-
-    /// `true` iff at least one EI is captured — the CEI has been "probed at
-    /// least once", the criterion the non-preemptive mode protects.
-    #[inline]
-    pub fn is_started(&self) -> bool {
-        self.n_captured > 0
-    }
-
-    /// Per-EI capture flags, parallel to `cei.eis`.
-    #[inline]
-    pub fn flags(&self) -> &[bool] {
-        &self.captured
-    }
-
-    /// Per-EI expired-uncaptured flags, parallel to `cei.eis`.
-    #[inline]
-    pub fn expired_flags(&self) -> &[bool] {
-        &self.expired
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,55 +201,6 @@ mod tests {
         assert!((stats.completeness() - 0.5).abs() < 1e-12);
         let total: u64 = stats.by_size.values().map(|b| b.total).sum();
         assert_eq!(total, 2);
-    }
-
-    #[test]
-    fn capture_set_tracks_progress() {
-        let mut cs = CaptureSet::new(3);
-        assert!(!cs.is_started());
-        assert!(cs.capture(1));
-        assert!(!cs.capture(1)); // idempotent
-        assert!(cs.is_started());
-        assert!(!cs.is_complete());
-        assert_eq!(cs.n_captured(), 1);
-        assert_eq!(cs.n_remaining(), 2);
-        cs.capture(0);
-        cs.capture(2);
-        assert!(cs.is_complete());
-        assert_eq!(cs.flags(), &[true, true, true]);
-    }
-
-    #[test]
-    fn capture_set_threshold_semantics() {
-        let mut cs = CaptureSet::new(3);
-        assert!(!cs.meets(2));
-        cs.capture(0);
-        cs.capture(2);
-        assert!(cs.meets(2));
-        assert!(!cs.meets(3));
-        assert!(!cs.is_complete());
-    }
-
-    #[test]
-    fn capture_set_expiry_and_doom() {
-        let mut cs = CaptureSet::new(3);
-        assert_eq!(cs.n_possible(), 3);
-        assert!(cs.mark_expired(0));
-        assert!(!cs.mark_expired(0)); // idempotent
-        assert_eq!(cs.n_possible(), 2);
-        assert!(cs.is_doomed(3)); // AND can never complete
-        assert!(!cs.is_doomed(2)); // 2-of-3 still viable
-        cs.capture(1);
-        assert!(!cs.mark_expired(1)); // captured EIs never expire
-        assert_eq!(cs.n_possible(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "already expired")]
-    fn capturing_expired_ei_rejected() {
-        let mut cs = CaptureSet::new(1);
-        cs.mark_expired(0);
-        cs.capture(0);
     }
 
     #[test]

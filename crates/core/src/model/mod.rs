@@ -18,7 +18,7 @@ pub use budget::Budget;
 pub use builder::InstanceBuilder;
 pub use capture::{
     cei_captured, ei_capture_chronon, ei_captured, evaluate_outcomes, evaluate_schedule,
-    gained_completeness, CaptureSet,
+    gained_completeness,
 };
 pub use cei::{Cei, CeiId};
 pub use costs::ProbeCosts;
