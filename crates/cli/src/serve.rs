@@ -287,11 +287,30 @@ fn handle_line(line: &str, ctl: &Control) -> Action {
     }
 }
 
+/// Sets up an accepted client socket. Reads time out after
+/// [`POLL_INTERVAL`] so the client thread notices shutdown promptly. Nagle's
+/// algorithm is off: a reply is one small segment, and holding it back
+/// until the client's next packet acknowledges the previous one would add
+/// up to the client's whole send period to every reply's latency.
+fn prepare_socket(stream: &TcpStream) -> io::Result<()> {
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    stream.set_nodelay(true)
+}
+
+/// Writes `line` and its newline terminator with one `write_all`, so a
+/// protocol reply or event line leaves in one segment, not two.
+fn send_line(sock: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut framed = String::with_capacity(line.len() + 1);
+    framed.push_str(line);
+    framed.push('\n');
+    sock.write_all(framed.as_bytes())
+}
+
 /// Serves one client connection until it closes, attaches, or the daemon
 /// stops. Reads use a short timeout so the thread notices shutdown
 /// promptly; a timeout preserves any partially read line.
 fn client_loop(stream: TcpStream, ctl: &Control) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    if prepare_socket(&stream).is_err() {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -320,12 +339,12 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                 }
                 match handle_line(&trimmed, ctl) {
                     Action::Reply(resp) => {
-                        if writeln!(writer, "{resp}").is_err() {
+                        if send_line(&mut writer, &resp).is_err() {
                             return;
                         }
                     }
                     Action::Attach(resp) => {
-                        if writeln!(writer, "{resp}").is_ok() {
+                        if send_line(&mut writer, &resp).is_ok() {
                             // From here the engine thread is the socket's
                             // only writer; this thread reads no further
                             // commands.
@@ -334,7 +353,7 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                         return;
                     }
                     Action::Shutdown(resp) => {
-                        let _ = writeln!(writer, "{resp}");
+                        let _ = send_line(&mut writer, &resp);
                         ctl.shutdown();
                         return;
                     }
@@ -408,13 +427,6 @@ impl TraceSink {
         })
     }
 
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.write_raw(&buf)
-    }
-
     fn write_raw(&mut self, bytes: &[u8]) -> Result<(), String> {
         write_all_tagged(&mut self.writer, bytes, &self.path).map_err(|e| e.to_string())
     }
@@ -427,9 +439,10 @@ impl TraceSink {
 }
 
 impl EventHub {
-    fn sink_line(&mut self, line: &str) {
+    /// Writes one newline-terminated line to the trace file.
+    fn sink_line(&mut self, framed: &str) {
         if let Some(file) = &mut self.file {
-            if let Err(e) = file.write_line(line) {
+            if let Err(e) = file.write_raw(framed.as_bytes()) {
                 self.write_errors += 1;
                 self.io_errors.push(e);
                 self.file = None;
@@ -444,17 +457,20 @@ impl Observer for EventHub {
             let mut pending = self.pending.lock().unwrap();
             self.active.append(&mut pending);
         }
-        let line = match serde_json::to_string(&event) {
+        let mut framed = match serde_json::to_string(&event) {
             Ok(line) => line,
             Err(_) => {
                 self.write_errors += 1;
                 return;
             }
         };
+        // One buffer with the terminator, written whole to every sink: a
+        // socket gets each event line in one segment.
+        framed.push('\n');
         self.events_written += 1;
-        self.sink_line(&line);
+        self.sink_line(&framed);
         self.active
-            .retain_mut(|sock| writeln!(sock, "{line}").is_ok());
+            .retain_mut(|sock| sock.write_all(framed.as_bytes()).is_ok());
     }
 
     fn enabled(&self) -> bool {
@@ -794,6 +810,38 @@ mod tests {
         match action {
             Action::Reply(s) | Action::Attach(s) | Action::Shutdown(s) => s,
         }
+    }
+
+    /// Records every `write` call separately.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_reply_is_one_write_with_its_newline() {
+        let mut sock = Writes::default();
+        send_line(&mut sock, r#"{"ok":"pong"}"#).unwrap();
+        assert_eq!(sock.0, vec![b"{\"ok\":\"pong\"}\n".to_vec()]);
+    }
+
+    #[test]
+    fn accepted_sockets_disable_nagle_and_poll_reads() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        prepare_socket(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(POLL_INTERVAL));
     }
 
     #[test]

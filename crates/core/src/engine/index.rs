@@ -11,6 +11,13 @@
 //! subslice of the shared array (the policy's
 //! [`CeiView::captured`](crate::policy::CeiView)).
 //!
+//! The same id space carries the static facts the run path reads per EI:
+//! each EI's resource ([`CandidateIndex::resource`]), next to each CEI's
+//! `required` count, both filled in the one traversal that sizes the index.
+//! Insertion, removal, expiry, shedding, capture completion and keyed
+//! selection read these dense tables instead of chasing
+//! `instance.ceis[id].eis[idx]` through each CEI's own allocation.
+//!
 //! The Algorithm-1 loop needs, per chronon: the live candidates grouped by
 //! resource (selection seeding, shared captures, fan-out counts), the live
 //! total (candidate-set accounting), and cheap removal when captures,
@@ -47,7 +54,7 @@
 //! CEIs are captured or expired), and once it resolves they are never read
 //! again, so a snapshot records them for `Active` CEIs only.
 
-use crate::model::{Cei, CeiId, Chronon, Instance};
+use crate::model::{Cei, CeiId, Chronon, Instance, ResourceId};
 
 /// One candidate EI in the pool: `(parent CEI, index of the EI within it)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +79,10 @@ pub(crate) struct CandidateIndex {
     n_captured: Vec<u16>,
     /// Expired-uncaptured EIs per CEI.
     n_expired: Vec<u16>,
+    /// Resource per global EI id.
+    resource: Vec<ResourceId>,
+    /// `required` per CEI: captures needed to satisfy it.
+    required: Vec<u16>,
     /// First global EI id of each CEI (prefix sums over CEI sizes), plus
     /// the total EI count as a final sentinel, so CEI `i` owns ids
     /// `ei_base[i]..ei_base[i + 1]`.
@@ -89,13 +100,17 @@ impl CandidateIndex {
         let n_res = instance.n_resources as usize;
         let n_ceis = instance.ceis.len();
         let mut ei_base = Vec::with_capacity(n_ceis + 1);
+        let mut required = Vec::with_capacity(n_ceis);
+        let mut resource = Vec::with_capacity(instance.total_eis());
         let mut per_resource = vec![0usize; n_res];
         let mut total = 0u32;
         for cei in &instance.ceis {
             ei_base.push(total);
+            required.push(cei.required);
             total += cei.size() as u32;
             for ei in &cei.eis {
                 per_resource[ei.resource.index()] += 1;
+                resource.push(ei.resource);
             }
         }
         ei_base.push(total);
@@ -110,6 +125,8 @@ impl CandidateIndex {
             expired: vec![false; total as usize],
             n_captured: vec![0; n_ceis],
             n_expired: vec![0; n_ceis],
+            resource,
+            required,
             ei_base,
             live: 0,
             active_now: vec![0; n_res],
@@ -118,8 +135,33 @@ impl CandidateIndex {
 
     /// Dense global id of an entry (unique per `(CeiId, ei_idx)`).
     #[inline]
-    fn gid(&self, e: PoolEntry) -> usize {
+    pub(crate) fn gid(&self, e: PoolEntry) -> usize {
         self.ei_base[e.cei.index()] as usize + e.ei_idx as usize
+    }
+
+    /// Total EIs of the instance (the `ei_base` sentinel): the size of the
+    /// global id space.
+    #[inline]
+    pub(crate) fn n_eis(&self) -> usize {
+        self.ei_base[self.ei_base.len() - 1] as usize
+    }
+
+    /// The resource an entry's EI watches.
+    #[inline]
+    pub(crate) fn resource(&self, e: PoolEntry) -> ResourceId {
+        self.resource[self.gid(e)]
+    }
+
+    /// Every entry of a CEI, live or not, in EI order.
+    #[inline]
+    pub(crate) fn entries_of(&self, id: CeiId) -> impl Iterator<Item = PoolEntry> {
+        (0..self.ids(id).len() as u16).map(move |ei_idx| PoolEntry { cei: id, ei_idx })
+    }
+
+    /// Captures a CEI needs to be satisfied (`cei.required`).
+    #[inline]
+    pub(crate) fn required(&self, id: CeiId) -> u16 {
+        self.required[id.index()]
     }
 
     /// The global id range of a CEI's EIs.
@@ -168,27 +210,31 @@ impl CandidateIndex {
         &mut self.by_resource[resource]
     }
 
-    /// Inserts a newly opened entry. Must be called at most once per entry
-    /// per run (each EI's window opens once).
+    /// Inserts a newly opened entry into its resource's list and returns
+    /// that resource. Must be called at most once per entry per run (each
+    /// EI's window opens once).
     #[inline]
-    pub(crate) fn insert(&mut self, e: PoolEntry, resource: usize) {
+    pub(crate) fn insert(&mut self, e: PoolEntry) -> usize {
         let g = self.gid(e);
         debug_assert!(!self.in_pool[g], "entry inserted twice");
+        let resource = self.resource[g].index();
         self.in_pool[g] = true;
         self.live += 1;
         self.active_now[resource] += 1;
         self.by_resource[resource].push(e);
+        resource
     }
 
     /// Removes an entry if live (capture, expiry, shed, or a parent
     /// resolution), leaving a tombstone in its list. Returns whether the
     /// entry was live.
     #[inline]
-    pub(crate) fn remove(&mut self, e: PoolEntry, resource: usize) -> bool {
+    pub(crate) fn remove(&mut self, e: PoolEntry) -> bool {
         let g = self.gid(e);
         if !self.in_pool[g] {
             return false;
         }
+        let resource = self.resource[g].index();
         self.in_pool[g] = false;
         self.live -= 1;
         self.active_now[resource] -= 1;
@@ -197,13 +243,9 @@ impl CandidateIndex {
     }
 
     /// Removes every still-live entry of a resolved CEI.
-    pub(crate) fn remove_cei(&mut self, instance: &Instance, id: CeiId) {
-        for (idx, ei) in instance.cei(id).eis.iter().enumerate() {
-            let e = PoolEntry {
-                cei: id,
-                ei_idx: idx as u16,
-            };
-            self.remove(e, ei.resource.index());
+    pub(crate) fn remove_cei(&mut self, id: CeiId) {
+        for e in self.entries_of(id) {
+            self.remove(e);
         }
     }
 
@@ -317,8 +359,8 @@ impl CandidateIndex {
     /// `true` iff fewer than `required` of the CEI's EIs can ever be
     /// captured — the CEI is doomed.
     #[inline]
-    pub(crate) fn is_doomed(&self, id: CeiId, required: u16) -> bool {
-        self.n_possible(id) < required
+    pub(crate) fn is_doomed(&self, id: CeiId) -> bool {
+        self.n_possible(id) < self.required(id)
     }
 
     /// Restores a CEI's capture flags from a snapshot's per-EI vectors,
@@ -451,10 +493,16 @@ mod tests {
 
     /// One CEI of `size` EIs, for exercising the capture flags.
     fn one_cei(size: u32) -> CandidateIndex {
+        one_cei_requiring(size, size as u16)
+    }
+
+    /// One CEI of `size` EIs on resources `0..size`, satisfied by
+    /// `required` captures.
+    fn one_cei_requiring(size: u32, required: u16) -> CandidateIndex {
         let mut b = InstanceBuilder::new(size, 10, Budget::Uniform(1));
         let p = b.profile();
         let eis: Vec<(u32, u32, u32)> = (0..size).map(|r| (r, 0, 5)).collect();
-        b.cei(p, &eis);
+        b.cei_threshold(p, required, &eis);
         CandidateIndex::new(&b.build())
     }
 
@@ -471,13 +519,13 @@ mod tests {
         let mut idx = CandidateIndex::new(&inst);
         let a = entry(0, 0);
         let b = entry(1, 0);
-        idx.insert(a, 0);
-        idx.insert(b, 0);
+        idx.insert(a);
+        idx.insert(b);
         assert_eq!(idx.live(), 2);
         assert_eq!(idx.live_on(0), 2);
         assert!(idx.is_live(a));
-        assert!(idx.remove(a, 0));
-        assert!(!idx.remove(a, 0), "double removal is a no-op");
+        assert!(idx.remove(a));
+        assert!(!idx.remove(a), "double removal is a no-op");
         assert_eq!(idx.live(), 1);
         assert_eq!(idx.live_on(0), 1);
         assert!(!idx.is_live(a));
@@ -485,7 +533,7 @@ mod tests {
         // entries — one of two is exactly half, so no compaction yet.
         idx.sweep();
         assert_eq!(idx.entries(0).len(), 2);
-        assert!(idx.remove(b, 0));
+        assert!(idx.remove(b));
         idx.sweep();
         assert!(idx.entries(0).is_empty());
     }
@@ -500,10 +548,10 @@ mod tests {
         let inst = b.build();
         let mut idx = CandidateIndex::new(&inst);
         for id in 0..6u32 {
-            idx.insert(entry(id, 0), 0);
+            idx.insert(entry(id, 0));
         }
         for id in [0u32, 2, 4, 5] {
-            idx.remove(entry(id, 0), 0);
+            idx.remove(entry(id, 0));
         }
         idx.sweep();
         let ids: Vec<u32> = idx.entries(0).iter().map(|e| e.cei.0).collect();
@@ -516,8 +564,8 @@ mod tests {
         let mut idx = CandidateIndex::new(&inst);
         assert_eq!(idx.by_resource[0].capacity(), 2);
         assert_eq!(idx.by_resource[1].capacity(), 1);
-        idx.insert(entry(0, 0), 0);
-        idx.insert(entry(1, 0), 0);
+        idx.insert(entry(0, 0));
+        idx.insert(entry(1, 0));
         assert_eq!(idx.by_resource[0].capacity(), 2, "no reallocation");
     }
 
@@ -569,11 +617,42 @@ mod tests {
         assert!(idx.mark_expired(entry(0, 0)));
         assert!(!idx.mark_expired(entry(0, 0))); // idempotent
         assert_eq!(idx.n_possible(id), 2);
-        assert!(idx.is_doomed(id, 3)); // AND can never complete
-        assert!(!idx.is_doomed(id, 2)); // 2-of-3 still viable
+        assert!(idx.is_doomed(id)); // AND can never complete
         idx.capture(entry(0, 1));
         assert!(!idx.mark_expired(entry(0, 1))); // captured EIs never expire
         assert_eq!(idx.n_possible(id), 2);
+
+        let mut threshold = one_cei_requiring(3, 2);
+        assert!(threshold.mark_expired(entry(0, 0)));
+        assert!(!threshold.is_doomed(id)); // 2-of-3 still viable
+        assert!(threshold.mark_expired(entry(0, 2)));
+        assert!(threshold.is_doomed(id));
+    }
+
+    #[test]
+    fn static_tables_follow_the_dense_id_space() {
+        let mut b = InstanceBuilder::new(3, 10, Budget::Uniform(1));
+        let p = b.profile();
+        b.cei(p, &[(2, 0, 2), (0, 3, 5)]);
+        b.cei_threshold(p, 1, &[(1, 1, 4), (2, 1, 4), (0, 2, 6)]);
+        let inst = b.build();
+        let mut idx = CandidateIndex::new(&inst);
+        assert_eq!(idx.n_eis(), inst.total_eis());
+        let resources: Vec<usize> = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2)]
+            .iter()
+            .map(|&(c, i)| idx.resource(entry(c, i)).index())
+            .collect();
+        assert_eq!(resources, vec![2, 0, 1, 2, 0]);
+        assert_eq!((idx.required(CeiId(0)), idx.required(CeiId(1))), (2, 1));
+        // Insertion and removal file an entry under its table resource.
+        assert_eq!(idx.insert(entry(1, 1)), 2);
+        assert_eq!(idx.live_on(2), 1);
+        assert!(idx.remove(entry(1, 1)));
+        assert_eq!(idx.live_on(2), 0);
+        idx.insert(entry(1, 0));
+        idx.insert(entry(1, 2));
+        idx.remove_cei(CeiId(1));
+        assert_eq!(idx.live(), 0);
     }
 
     #[test]

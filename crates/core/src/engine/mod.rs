@@ -46,7 +46,8 @@
 //! heap per phase class across chronons, so per-chronon cost is
 //! proportional to the work actually done that chronon — insertions,
 //! probes, captures, expiries — not to the size of the whole pool or
-//! profile. Other policies (M-EDF, WIC) re-seed one reused heap buffer
+//! profile. An opening is keyed only once its phase class is consulted,
+//! so one that expires first is never keyed. Other policies (M-EDF, WIC) re-seed one reused heap buffer
 //! from the live pool in every phase.
 //!
 //! **Entry points.** [`OnlineEngine::run_driven_resumable`] is the one

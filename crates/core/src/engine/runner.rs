@@ -28,7 +28,11 @@ pub enum SelectionStrategy {
     /// MRSF) one heap per phase class persists across chronons, keyed by
     /// [`Policy::order_key`] and updated only on arrivals, re-keying
     /// captures, and popped copies found dead, out of phase, or stale —
-    /// so a chronon costs `O(work · log N)`, not `O(N)`. Any other policy
+    /// so a chronon costs `O(work · log N)`, not `O(N)`. Arrivals are keyed
+    /// lazily: a window opening waits unkeyed in a queue of its phase class
+    /// and is keyed only when that class is next consulted, so under Φ(NP)
+    /// a fresh opening that expires while the started class spends the
+    /// whole budget is never keyed at all. Any other policy
     /// seeds one reused heap buffer per phase from the candidate index with
     /// current scores; a popped entry whose score went stale (a sibling was
     /// captured this chronon) is re-pushed at its current score, and
@@ -313,18 +317,18 @@ impl OnlineEngine {
         } else {
             SelectionStrategy::Scan
         };
+        // The candidate pool, grouped by resource with incremental removal
+        // and live counts, plus every EI's capture flags and static
+        // resource. Allocated once and reused for the whole run.
+        let mut index = CandidateIndex::new(instance);
+
         // A declared time-invariant order keeps the heap across chronons.
         let mut keyed = match selection {
             SelectionStrategy::Incremental => policy
                 .key_order()
-                .map(|order| KeyedHeaps::new(order, config.preemptive)),
+                .map(|order| KeyedHeaps::new(order, config.preemptive, index.n_eis())),
             SelectionStrategy::Scan => None,
         };
-
-        // The candidate pool, grouped by resource with incremental removal
-        // and live counts, plus every EI's capture flags. Allocated once and
-        // reused for the whole run.
-        let mut index = CandidateIndex::new(instance);
 
         // Bucket EIs by start chronon so each enters the pool exactly when
         // its window opens, and by end chronon so the expiry pass visits
@@ -340,7 +344,7 @@ impl OnlineEngine {
         // unmutated runs, and correct under mid-run `SetBudget`.
         let mut stats = RunStats {
             n_ceis: n_ceis as u64,
-            n_eis: instance.total_eis() as u64,
+            n_eis: index.n_eis() as u64,
             ..Default::default()
         };
 
@@ -432,33 +436,25 @@ impl OnlineEngine {
                 // part of the observable state.
                 for (r, entries) in snap.index.iter().enumerate() {
                     for &(cei, ei_idx) in entries {
-                        index.insert(
-                            PoolEntry {
-                                cei: CeiId(cei),
-                                ei_idx,
-                            },
-                            r,
-                        );
+                        let e = PoolEntry {
+                            cei: CeiId(cei),
+                            ei_idx,
+                        };
+                        debug_assert_eq!(index.resource(e).index(), r);
+                        index.insert(e);
                     }
                 }
                 for (i, (started, &s)) in started_snapshot.iter_mut().zip(&status).enumerate() {
                     *started = s == Status::Active && index.n_captured(CeiId(i as u32)) > 0;
                 }
-                // The keyed heaps are not part of the snapshot: their valid
-                // copies are exactly the live entries, so reseeding from the
-                // index restores everything selection can observe.
+                // The keyed heaps are not part of the snapshot: their current
+                // copies are exactly the live entries, so deferring every
+                // live entry restores everything selection can observe.
                 if let Some(k) = keyed.as_mut() {
                     for r in 0..n_res {
                         for &e in index.entries(r) {
                             if index.is_live(e) {
-                                k.push_entry(
-                                    instance,
-                                    policy,
-                                    &index,
-                                    &status,
-                                    &started_snapshot,
-                                    e,
-                                );
+                                k.defer(&index, &started_snapshot, e);
                             }
                         }
                     }
@@ -504,7 +500,7 @@ impl OnlineEngine {
                 if !started_snapshot[id.index()] {
                     started_snapshot[id.index()] = true;
                     if let Some(k) = keyed.as_mut() {
-                        k.push_cei(instance, policy, &index, &status, &started_snapshot, id);
+                        k.push_cei(instance, policy, &index, &started_snapshot, id);
                     }
                 }
             }
@@ -528,19 +524,15 @@ impl OnlineEngine {
                             // `starts[t]` bucket below owns `start == t`)
                             // enter the pool now; future windows ride the
                             // prebuilt buckets. O(own EIs) throughout.
-                            for (idx, ei) in cei.eis.iter().enumerate() {
-                                let e = PoolEntry {
-                                    cei: id,
-                                    ei_idx: idx as u16,
-                                };
+                            for (e, ei) in index.entries_of(id).zip(&cei.eis) {
                                 if ei.end < t {
                                     index.mark_expired(e);
                                 } else if ei.start < t {
-                                    index.insert(e, ei.resource.index());
+                                    index.insert(e);
                                 }
                             }
                             observer.on_event(Event::CeiRegistered { cei: id, at: t });
-                            if index.is_doomed(id, cei.required) {
+                            if index.is_doomed(id) {
                                 // Registered too late: the already-closed
                                 // windows alone make `required` unreachable.
                                 let outcome = CeiOutcome::Failed { at: t };
@@ -548,18 +540,11 @@ impl OnlineEngine {
                                 outcomes[id.index()] = outcome;
                                 stats.record_outcome_of(cei, outcome);
                                 observer.on_event(Event::CeiExpired { cei: id, at: t });
-                                index.remove_cei(instance, id);
+                                index.remove_cei(id);
                             } else {
                                 status[id.index()] = Status::Active;
                                 if let Some(k) = keyed.as_mut() {
-                                    k.push_cei(
-                                        instance,
-                                        policy,
-                                        &index,
-                                        &status,
-                                        &started_snapshot,
-                                        id,
-                                    );
+                                    k.push_cei(instance, policy, &index, &started_snapshot, id);
                                 }
                             }
                         }
@@ -572,15 +557,15 @@ impl OnlineEngine {
                             outcomes[id.index()] = outcome;
                             stats.record_outcome_of(instance.cei(id), outcome);
                             observer.on_event(Event::CeiCancelled { cei: id, at: t });
-                            index.remove_cei(instance, id);
+                            index.remove_cei(id);
                             // Drop pending retry state on resources the
                             // cancellation emptied: the streak belonged to a
                             // profile nobody wants anymore, and keeping it
                             // would burn backoff delays and the per-chronon
                             // retry quota on dead candidates.
                             if fault_on {
-                                for ei in &instance.cei(id).eis {
-                                    let r = ei.resource.index();
+                                for e in index.entries_of(id) {
+                                    let r = index.resource(e).index();
                                     if index.live_on(r) == 0 && consec_failures[r] > 0 {
                                         consec_failures[r] = 0;
                                         next_attempt_at[r] = 0;
@@ -648,23 +633,23 @@ impl OnlineEngine {
             // the chronon-start occupancy even while captures land
             // mid-probing, matching the legacy scan-once semantics. The live
             // total is frozen after as the candidate-set size selection
-            // competes over.
+            // competes over. Under a keyed order an opening only joins its
+            // class's queue: it is keyed when that class is next consulted.
             index.sweep();
             has_update.fill(false);
             for &e in starts.at(t) {
                 if status[e.cei.index()] == Status::Active {
-                    let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
-                    index.insert(e, r);
+                    let r = index.insert(e);
                     has_update[r] = true;
                     if let Some(k) = keyed.as_mut() {
-                        k.push_entry(instance, policy, &index, &status, &started_snapshot, e);
+                        k.defer(&index, &started_snapshot, e);
                     }
                 }
             }
             active_snapshot.copy_from_slice(index.active_now());
             let pool_size = index.live();
             if let Some(k) = keyed.as_mut() {
-                k.compact(instance, policy, &index, &status, &started_snapshot);
+                k.compact(instance, policy, &index, &started_snapshot);
             }
 
             // -- 5. probeEIs: select up to C_j resources by repeated argmin,
@@ -708,6 +693,13 @@ impl OnlineEngine {
                         }
                     }
                 }
+                // A keyed class is consulted only if its phase starts with
+                // budget left; only then are its queued openings keyed.
+                if let Some(k) = keyed.as_mut() {
+                    if used < budget {
+                        k.key_deferred(instance, policy, &index, &started_snapshot, class);
+                    }
+                }
 
                 while used < budget {
                     let remaining = budget - used;
@@ -717,7 +709,6 @@ impl OnlineEngine {
                             instance,
                             policy,
                             &index,
-                            &status,
                             &started_snapshot,
                             class,
                             &probed_now,
@@ -758,7 +749,7 @@ impl OnlineEngine {
                     // Probe the selected EI's resource; with sharing on, the
                     // probe captures every active candidate EI on that
                     // resource (R_ids).
-                    let resource = instance.cei(best.cei).eis[best.ei_idx as usize].resource;
+                    let resource = index.resource(best);
                     let cost = instance.costs.of(resource);
 
                     // Submit the attempt to the fault model before touching
@@ -821,14 +812,7 @@ impl OnlineEngine {
                             // persistent heap keeps it either way (a blocked
                             // one is set aside when popped again).
                             if let Some(k) = keyed.as_mut() {
-                                k.push_entry(
-                                    instance,
-                                    policy,
-                                    &index,
-                                    &status,
-                                    &started_snapshot,
-                                    best,
-                                );
+                                k.push_entry(instance, policy, &index, &started_snapshot, best);
                             } else if selection == SelectionStrategy::Incremental
                                 && !fault_blocked[ri]
                             {
@@ -911,26 +895,14 @@ impl OnlineEngine {
                     if let Some(k) = keyed.as_mut() {
                         if k.order.changes_on_capture {
                             for &id in &touched {
-                                k.push_cei(
-                                    instance,
-                                    policy,
-                                    &index,
-                                    &status,
-                                    &started_snapshot,
-                                    id,
-                                );
+                                k.push_cei(instance, policy, &index, &started_snapshot, id);
                             }
                         }
                     } else if selection == SelectionStrategy::Incremental {
                         let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                         for id in &touched {
-                            let cei = instance.cei(*id);
-                            for (idx, ei) in cei.eis.iter().enumerate() {
-                                let e = PoolEntry {
-                                    cei: *id,
-                                    ei_idx: idx as u16,
-                                };
-                                if !index.is_live(e) || probed_now[ei.resource.index()] {
+                            for e in index.entries_of(*id) {
+                                if !index.is_live(e) || probed_now[index.resource(e).index()] {
                                     continue;
                                 }
                                 if let Some(score) = score_entry(
@@ -976,9 +948,8 @@ impl OnlineEngine {
                 }
                 debug_assert!(status[e.cei.index()] == Status::Active);
                 if index.mark_expired(e) {
-                    let cei = instance.cei(e.cei);
-                    index.remove(e, cei.eis[e.ei_idx as usize].resource.index());
-                    if index.is_doomed(e.cei, cei.required) {
+                    index.remove(e);
+                    if index.is_doomed(e.cei) {
                         transitions.push((e.cei, CeiOutcome::Failed { at: t }));
                     }
                 }
@@ -989,7 +960,7 @@ impl OnlineEngine {
                     outcomes[id.index()] = outcome;
                     stats.record_outcome_of(instance.cei(id), outcome);
                     observer.on_event(Event::CeiExpired { cei: id, at: t });
-                    index.remove_cei(instance, id);
+                    index.remove_cei(id);
                 }
             }
 
@@ -1028,10 +999,9 @@ impl OnlineEngine {
                     if status[e.cei.index()] != Status::Active {
                         continue;
                     }
-                    let cei = instance.cei(e.cei);
                     if index.mark_expired(e) {
-                        index.remove(e, cei.eis[ei_idx as usize].resource.index());
-                        if index.is_doomed(e.cei, cei.required) {
+                        index.remove(e);
+                        if index.is_doomed(e.cei) {
                             transitions.push((e.cei, CeiOutcome::Failed { at: t }));
                         }
                     }
@@ -1043,7 +1013,7 @@ impl OnlineEngine {
                         stats.record_outcome_of(instance.cei(id), outcome);
                         stats.ceis_shed += 1;
                         observer.on_event(Event::CeiShed { cei: id, at: t });
-                        index.remove_cei(instance, id);
+                        index.remove_cei(id);
                     }
                 }
             }
@@ -1142,8 +1112,14 @@ fn candidate<'a>(
     if status[e.cei.index()] != Status::Active || !index.is_open(e) {
         return None;
     }
+    Some(view(instance, index, e))
+}
+
+/// The policy's view of a pool entry, unchecked: the caller knows the entry
+/// is capturable (a live entry always is).
+fn view<'a>(instance: &'a Instance, index: &'a CandidateIndex, e: PoolEntry) -> Candidate<'a> {
     let cei = instance.cei(e.cei);
-    Some(Candidate {
+    Candidate {
         ei: cei.eis[e.ei_idx as usize],
         ei_index: e.ei_idx as usize,
         cei: CeiView {
@@ -1154,7 +1130,7 @@ fn candidate<'a>(
             weight: cei.weight,
             profile_rank: instance.profiles[cei.profile.index()].rank,
         },
-    })
+    }
 }
 
 /// Scores one pool entry if it is live and phase-eligible: parent active,
@@ -1176,15 +1152,12 @@ fn score_entry(
     Some(policy.score(ctx, &candidate(instance, index, status, e)?))
 }
 
-/// The current [`Policy::order_key`] of a capturable pool entry.
-fn key_of(
-    instance: &Instance,
-    policy: &dyn Policy,
-    index: &CandidateIndex,
-    status: &[Status],
-    e: PoolEntry,
-) -> Option<i64> {
-    policy.order_key(&candidate(instance, index, status, e)?)
+/// The current [`Policy::order_key`] of a live pool entry.
+fn key_of(instance: &Instance, policy: &dyn Policy, index: &CandidateIndex, e: PoolEntry) -> i64 {
+    debug_assert!(index.is_live(e), "only live entries are keyed");
+    policy
+        .order_key(&view(instance, index, e))
+        .expect("a keyed policy keys every candidate")
 }
 
 /// Phase class of the started (cands⁺) heap, and of every entry in
@@ -1195,34 +1168,53 @@ const FRESH: usize = 1;
 
 /// The persistent selection state of a policy with a time-invariant order
 /// ([`Policy::key_order`]): one min-heap of `(order key, cei, ei index)` per
-/// phase class, kept across chronons.
+/// phase class, kept across chronons, plus one queue per class of openings
+/// not keyed yet.
+///
+/// An opening is *deferred*: it joins its class's queue unkeyed, and is keyed
+/// and pushed only when that class is about to pop
+/// ([`key_deferred`](Self::key_deferred), at the start of a phase with budget
+/// left). Under Φ(NP) the started class usually spends the whole budget, so
+/// most fresh openings expire before the fresh class is consulted and are
+/// never keyed; a queued entry found dead is dropped.
 ///
 /// Invariant: outside a phase, every live entry has exactly one *current*
-/// copy — at its current key, in the heap of its current class; during a
-/// phase, a current copy popped and found ineligible sits in `aside`
-/// instead. Every other copy (dead, out of phase, stale key) is discarded
-/// when popped and dropped by [`compact`](Self::compact). Because
-/// key order equals score order and ties break on `(cei, ei index)` as in
-/// [`argmin_candidate`], the first eligible current copy popped is the
-/// `Scan` argmin; and because only current copies count as selection
-/// steps, `heap_pops` is a function of the live state, so a run resumed
-/// from a snapshot (which reseeds the heaps from the index) counts exactly
-/// what the uninterrupted run counted.
+/// copy across heaps ∪ queues — queued in its current class (marked in
+/// `queued`), or at its current key in the heap of its current class;
+/// during a phase, a current copy popped and found ineligible sits in
+/// `aside` instead. A cands⁺ join or a re-key leaves an entry queued in its
+/// current class where it is (it is keyed at its then-current key when
+/// drained) and otherwise pushes a fresh current copy, unmarking the entry
+/// so a queued copy in its old class goes stale. Every other copy (dead,
+/// out of phase, stale key, unmarked) is discarded when met and dropped by
+/// [`compact`](Self::compact). Because key order equals score order and
+/// ties break on `(cei, ei index)` as in [`argmin_candidate`], the first
+/// eligible current copy popped is the `Scan` argmin; and because only
+/// current copies count as selection steps, `heap_pops` is a function of
+/// the live state, so a run resumed from a snapshot (which re-defers every
+/// live entry) counts exactly what the uninterrupted run counted.
 struct KeyedHeaps {
     order: KeyOrder,
     preemptive: bool,
     heaps: [ScoreHeap; 2],
+    /// Deferred entries per class, unkeyed; buffers reused across chronons.
+    queues: [Vec<PoolEntry>; 2],
+    /// Per global EI id: `1 + class` while the entry's current copy waits
+    /// in that class's queue, 0 otherwise.
+    queued: Vec<u8>,
     /// Current copies popped this phase but blocked or unaffordable;
     /// re-pushed when the phase ends.
     aside: Vec<(i64, u32, u16)>,
 }
 
 impl KeyedHeaps {
-    fn new(order: KeyOrder, preemptive: bool) -> Self {
+    fn new(order: KeyOrder, preemptive: bool, n_eis: usize) -> Self {
         KeyedHeaps {
             order,
             preemptive,
             heaps: [ScoreHeap::new(), ScoreHeap::new()],
+            queues: [Vec::new(), Vec::new()],
+            queued: vec![0; n_eis],
             aside: Vec::new(),
         }
     }
@@ -1236,42 +1228,71 @@ impl KeyedHeaps {
         }
     }
 
-    /// Pushes a live entry's current copy into its class's heap.
+    /// Queues a live entry's current copy, unkeyed, in its class's queue.
+    fn defer(&mut self, index: &CandidateIndex, started: &[bool], e: PoolEntry) {
+        let class = self.class(started, e.cei);
+        self.queued[index.gid(e)] = class as u8 + 1;
+        self.queues[class].push(e);
+    }
+
+    /// Keys a live entry and pushes its current copy into its class's heap.
     fn push_entry(
         &mut self,
         instance: &Instance,
         policy: &dyn Policy,
         index: &CandidateIndex,
-        status: &[Status],
         started: &[bool],
         e: PoolEntry,
     ) {
-        let key = key_of(instance, policy, index, status, e)
-            .expect("a keyed policy keys every candidate");
+        self.queued[index.gid(e)] = 0;
+        let key = key_of(instance, policy, index, e);
         let class = self.class(started, e.cei);
         self.heaps[class].push(std::cmp::Reverse((key, e.cei.0, e.ei_idx)));
     }
 
-    /// Pushes the current copies of a CEI's live entries: on registration,
-    /// on joining cands⁺, and after a capture re-keys its siblings.
+    /// Renews the current copies of a CEI's live entries: on registration,
+    /// on joining cands⁺, and after a capture re-keys its siblings. An
+    /// entry still queued in its current class keeps its queued copy.
     fn push_cei(
         &mut self,
         instance: &Instance,
         policy: &dyn Policy,
         index: &CandidateIndex,
-        status: &[Status],
         started: &[bool],
         id: CeiId,
     ) {
-        for idx in 0..instance.cei(id).size() {
-            let e = PoolEntry {
-                cei: id,
-                ei_idx: idx as u16,
-            };
-            if index.is_live(e) {
-                self.push_entry(instance, policy, index, status, started, e);
+        let queued_here = self.class(started, id) as u8 + 1;
+        for e in index.entries_of(id) {
+            if index.is_live(e) && self.queued[index.gid(e)] != queued_here {
+                self.push_entry(instance, policy, index, started, e);
             }
         }
+    }
+
+    /// Whether a queued entry is the current copy of a live entry of
+    /// `class`.
+    fn is_queued(&self, index: &CandidateIndex, class: usize, e: PoolEntry) -> bool {
+        index.is_live(e) && self.queued[index.gid(e)] == class as u8 + 1
+    }
+
+    /// Keys every current queued entry of `class` into its heap, dropping
+    /// the rest; called when the class is about to pop.
+    fn key_deferred(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        index: &CandidateIndex,
+        started: &[bool],
+        class: usize,
+    ) {
+        let mut queue = std::mem::take(&mut self.queues[class]);
+        for &e in &queue {
+            if self.is_queued(index, class, e) {
+                self.push_entry(instance, policy, index, started, e);
+            }
+        }
+        queue.clear();
+        self.queues[class] = queue;
     }
 
     /// Whether a heap copy is the current one of a live entry of `class`.
@@ -1281,7 +1302,6 @@ impl KeyedHeaps {
         instance: &Instance,
         policy: &dyn Policy,
         index: &CandidateIndex,
-        status: &[Status],
         started: &[bool],
         class: usize,
         (key, cei, ei_idx): (i64, u32, u16),
@@ -1292,8 +1312,7 @@ impl KeyedHeaps {
         };
         index.is_live(e)
             && self.class(started, e.cei) == class
-            && (!self.order.changes_on_capture
-                || key_of(instance, policy, index, status, e) == Some(key))
+            && (!self.order.changes_on_capture || key_of(instance, policy, index, e) == key)
     }
 
     /// Pops the minimum eligible entry of `class`: non-current copies are
@@ -1307,7 +1326,6 @@ impl KeyedHeaps {
         instance: &Instance,
         policy: &dyn Policy,
         index: &CandidateIndex,
-        status: &[Status],
         started: &[bool],
         class: usize,
         probed_now: &[bool],
@@ -1316,7 +1334,7 @@ impl KeyedHeaps {
         steps: &mut u32,
     ) -> Option<PoolEntry> {
         while let Some(std::cmp::Reverse(item)) = self.heaps[class].pop() {
-            if !self.is_current(instance, policy, index, status, started, class, item) {
+            if !self.is_current(instance, policy, index, started, class, item) {
                 continue; // dead, out of phase, or superseded by a re-key
             }
             *steps += 1;
@@ -1325,7 +1343,7 @@ impl KeyedHeaps {
                 cei: CeiId(cei),
                 ei_idx,
             };
-            let resource = instance.cei(e.cei).eis[ei_idx as usize].resource;
+            let resource = index.resource(e);
             if probed_now[resource.index()]
                 || blocked[resource.index()]
                 || instance.costs.of(resource) > remaining_budget
@@ -1343,16 +1361,15 @@ impl KeyedHeaps {
         self.heaps[class].extend(self.aside.drain(..).map(std::cmp::Reverse));
     }
 
-    /// Drops every non-current copy from a class heap whose length exceeds
-    /// `2 × live + HEAP_SLACK`. Each copy is dropped at most once, and a
-    /// compaction leaves at most `live` copies, so the amortized cost is
-    /// O(1) per push.
+    /// Drops every non-current copy from a class heap or queue whose length
+    /// exceeds `2 × live + HEAP_SLACK`. Each copy is dropped at most once,
+    /// and a compaction leaves at most `live` copies, so the amortized cost
+    /// is O(1) per push.
     fn compact(
         &mut self,
         instance: &Instance,
         policy: &dyn Policy,
         index: &CandidateIndex,
-        status: &[Status],
         started: &[bool],
     ) {
         let bound = 2 * index.live() as usize + HEAP_SLACK;
@@ -1360,53 +1377,88 @@ impl KeyedHeaps {
             if self.heaps[class].len() > bound {
                 let mut heap = std::mem::take(&mut self.heaps[class]);
                 heap.retain(|&std::cmp::Reverse(item)| {
-                    self.is_current(instance, policy, index, status, started, class, item)
+                    self.is_current(instance, policy, index, started, class, item)
                 });
                 self.heaps[class] = heap;
                 #[cfg(test)]
-                heap_probe::record_compaction();
+                heap_probe::record_compaction(heap_probe::Kind::Heap);
+            }
+            if self.queues[class].len() > bound {
+                let mut queue = std::mem::take(&mut self.queues[class]);
+                queue.retain(|&e| self.is_queued(index, class, e));
+                self.queues[class] = queue;
+                #[cfg(test)]
+                heap_probe::record_compaction(heap_probe::Kind::Queue);
             }
         }
         #[cfg(test)]
-        heap_probe::record(
-            self.heaps
-                .iter()
-                .map(std::collections::BinaryHeap::len)
-                .max()
-                .unwrap_or(0),
-            bound,
-        );
+        {
+            let longest = |lens: [usize; 2]| lens[0].max(lens[1]);
+            heap_probe::record(
+                heap_probe::Kind::Heap,
+                longest([self.heaps[0].len(), self.heaps[1].len()]),
+                bound,
+            );
+            heap_probe::record(
+                heap_probe::Kind::Queue,
+                longest([self.queues[0].len(), self.queues[1].len()]),
+                bound,
+            );
+        }
     }
 }
 
-/// Test-only instrumentation of the keyed heaps' compaction bound.
+/// Test-only instrumentation of the keyed heaps' and deferred queues'
+/// compaction bound.
 #[cfg(test)]
 mod heap_probe {
     use std::cell::Cell;
 
+    /// Which keyed store a record is about.
+    #[derive(Clone, Copy)]
+    pub(super) enum Kind {
+        Heap = 0,
+        Queue = 1,
+    }
+
+    /// One store's record: peak length − bound at the start of a chronon's
+    /// selection (`None` if no keyed run recorded one), and compactions.
+    #[derive(Debug, Default, Clone, Copy)]
+    pub(super) struct Probe {
+        pub(super) peak_excess: Option<i64>,
+        pub(super) compactions: u32,
+    }
+
     thread_local! {
-        static PEAK_EXCESS: Cell<Option<i64>> = const { Cell::new(None) };
-        static COMPACTIONS: Cell<u32> = const { Cell::new(0) };
+        static PROBES: Cell<[Probe; 2]> = const {
+            Cell::new([Probe { peak_excess: None, compactions: 0 }; 2])
+        };
     }
 
-    /// Records the largest class heap a chronon's selection starts from,
-    /// against the compaction bound.
-    pub(super) fn record(len: usize, bound: usize) {
+    fn update(kind: Kind, f: impl FnOnce(&mut Probe)) {
+        PROBES.with(|p| {
+            let mut probes = p.get();
+            f(&mut probes[kind as usize]);
+            p.set(probes);
+        });
+    }
+
+    /// Records the longest class heap or queue a chronon's selection starts
+    /// from, against the compaction bound.
+    pub(super) fn record(kind: Kind, len: usize, bound: usize) {
         let excess = len as i64 - bound as i64;
-        PEAK_EXCESS.with(|p| p.set(Some(p.get().map_or(excess, |e| e.max(excess)))));
+        update(kind, |p| {
+            p.peak_excess = Some(p.peak_excess.map_or(excess, |e| e.max(excess)));
+        });
     }
 
-    pub(super) fn record_compaction() {
-        COMPACTIONS.with(|c| c.set(c.get() + 1));
+    pub(super) fn record_compaction(kind: Kind) {
+        update(kind, |p| p.compactions += 1);
     }
 
-    /// Returns and resets `(peak heap length − bound, compactions)`;
-    /// `None` if no keyed run recorded a chronon on this thread.
-    pub(super) fn take() -> (Option<i64>, u32) {
-        (
-            PEAK_EXCESS.with(|p| p.replace(None)),
-            COMPACTIONS.with(|c| c.replace(0)),
-        )
+    /// Returns and resets the `[heap, queue]` records of this thread.
+    pub(super) fn take() -> [Probe; 2] {
+        PROBES.with(|p| p.replace([Probe::default(); 2]))
     }
 }
 
@@ -1482,7 +1534,7 @@ fn pop_valid(
             cei: CeiId(cei),
             ei_idx,
         };
-        let resource = instance.cei(e.cei).eis[e.ei_idx as usize].resource;
+        let resource = index.resource(e);
         if probed_now[resource.index()] {
             continue; // captured earlier this chronon
         }
@@ -1534,23 +1586,28 @@ fn capture_resource<O: Observer>(
             status[e.cei.index()] == Status::Active,
             "live entry with a resolved parent"
         );
-        let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
-        debug_assert!(ei.resource.index() == resource && ei.is_active(t));
+        debug_assert!(index.resource(*e).index() == resource);
+        debug_assert!(instance.cei(e.cei).eis[e.ei_idx as usize].is_active(t));
         if index.capture(*e) {
             index.mark_captured(*e, resource);
             stats.eis_captured += 1;
-            observer.on_event(Event::EiCaptured {
-                t,
-                cei: e.cei,
-                latency: t - ei.start,
-            });
+            // The capture latency is the one per-EI fact read from the
+            // instance itself; only an observer that wants events pays it.
+            if observer.enabled() {
+                let start = instance.cei(e.cei).eis[e.ei_idx as usize].start;
+                observer.on_event(Event::EiCaptured {
+                    t,
+                    cei: e.cei,
+                    latency: t - start,
+                });
+            }
             if !touched.contains(&e.cei) {
                 touched.push(e.cei);
             }
             // Record completion exactly once: when this capture crosses the
             // threshold (under threshold semantics `meets` stays true for
             // every further capture in the same probe).
-            if index.n_captured(e.cei) == instance.cei(e.cei).required {
+            if index.n_captured(e.cei) == index.required(e.cei) {
                 completed.push((e.cei, CeiOutcome::Captured { at: t }));
             }
         }
@@ -1564,7 +1621,7 @@ fn capture_resource<O: Observer>(
         stats.record_outcome_of(instance.cei(id), outcome);
         observer.on_event(Event::CeiCompleted { cei: id, at: t });
         // The completed CEI's entries on other resources leave the pool now.
-        index.remove_cei(instance, id);
+        index.remove_cei(id);
     }
 }
 
@@ -1585,15 +1642,17 @@ fn capture_single<O: Observer>(
         return;
     }
     if index.capture(entry) {
-        let ei = instance.cei(entry.cei).eis[entry.ei_idx as usize];
-        index.remove(entry, ei.resource.index());
+        index.remove(entry);
         stats.eis_captured += 1;
-        observer.on_event(Event::EiCaptured {
-            t,
-            cei: entry.cei,
-            latency: t - ei.start,
-        });
-        if index.n_captured(entry.cei) == instance.cei(entry.cei).required {
+        if observer.enabled() {
+            let start = instance.cei(entry.cei).eis[entry.ei_idx as usize].start;
+            observer.on_event(Event::EiCaptured {
+                t,
+                cei: entry.cei,
+                latency: t - start,
+            });
+        }
+        if index.n_captured(entry.cei) == index.required(entry.cei) {
             let outcome = CeiOutcome::Captured { at: t };
             status[entry.cei.index()] = Status::Captured;
             outcomes[entry.cei.index()] = outcome;
@@ -1602,7 +1661,7 @@ fn capture_single<O: Observer>(
                 cei: entry.cei,
                 at: t,
             });
-            index.remove_cei(instance, entry.cei);
+            index.remove_cei(entry.cei);
         }
     }
 }
@@ -2205,7 +2264,8 @@ mod tests {
             &churn,
             &mut NoopObserver,
         );
-        let (peak_excess, compactions) = heap_probe::take();
+        let [heap, _] = heap_probe::take();
+        let (peak_excess, compactions) = (heap.peak_excess, heap.compactions);
         assert!(run.stats.ceis_cancelled > 0 && run.stats.ceis_captured > 0);
         let peak_excess = peak_excess.expect("MRSF takes the keyed path");
         assert!(
@@ -2215,6 +2275,157 @@ mod tests {
         // Compaction fires only on a heap past the bound, so without it
         // this run's heap would have outgrown the bound.
         assert!(compactions > 0, "the run never outgrew the bound");
+    }
+
+    #[test]
+    fn deferred_queue_length_stays_bounded_on_a_long_churned_sedf_np_run() {
+        // Under Φ(NP) the started class usually spends the budget, so the
+        // fresh class goes unconsulted for long stretches and its queue of
+        // unkeyed openings fills with entries that expire there.
+        // Compaction must hold every class queue to `2 × live +
+        // HEAP_SLACK` at the start of each chronon's selection.
+        let (n_res, horizon) = (12u32, 1500u32);
+        let mut b = InstanceBuilder::new(n_res, horizon, Budget::Uniform(1));
+        let p = b.profile();
+        let mut n_ceis = 0u32;
+        for s in 0..horizon - 40 {
+            for j in 0..3u32 {
+                let r = (s + j * 5) % n_res;
+                b.cei(
+                    p,
+                    &[
+                        (r, s, s + 2 + j),
+                        ((r + 1) % n_res, s + 2, s + 9),
+                        ((r + 4) % n_res, s + 5, s + 20 + j),
+                    ],
+                );
+                n_ceis += 1;
+            }
+        }
+        let inst = b.build();
+        let mut churn = MutationQueue::new();
+        for k in (0..n_ceis - 1).step_by(7) {
+            let release = k / 3;
+            churn.cancel(release + 3, CeiId(k));
+            churn.register(release.saturating_sub(2), CeiId(k + 1));
+        }
+        heap_probe::take();
+        let run = run_churned(
+            &inst,
+            &SEdf,
+            EngineConfig::non_preemptive(),
+            &churn,
+            &mut NoopObserver,
+        );
+        let [heap, queue] = heap_probe::take();
+        assert!(run.stats.ceis_cancelled > 0 && run.stats.ceis_captured > 0);
+        for (name, probe) in [("heap", heap), ("queue", queue)] {
+            let peak_excess = probe.peak_excess.expect("S-EDF takes the keyed path");
+            assert!(
+                peak_excess <= 0,
+                "a class {name} exceeded 2 × live + {HEAP_SLACK} by {peak_excess}"
+            );
+        }
+        // Compaction fires only on a queue past the bound, so without it
+        // this run's fresh queue would have outgrown the bound.
+        assert!(
+            queue.compactions > 0,
+            "the fresh queue never outgrew the bound"
+        );
+    }
+
+    /// S-EDF that counts its [`Policy::order_key`] calls.
+    #[derive(Default)]
+    struct CountingSEdf(std::sync::atomic::AtomicU32);
+
+    impl Policy for CountingSEdf {
+        fn name(&self) -> &'static str {
+            "S-EDF"
+        }
+
+        fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
+            SEdf.score(ctx, cand)
+        }
+
+        fn key_order(&self) -> Option<KeyOrder> {
+            SEdf.key_order()
+        }
+
+        fn order_key(&self, cand: &Candidate<'_>) -> Option<i64> {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            SEdf.order_key(cand)
+        }
+    }
+
+    /// Blanks the selection-step accounting, the one output the selection
+    /// strategies legitimately disagree on.
+    fn without_heap_pops(
+        mut metrics: crate::obs::RunMetrics,
+        trace: &[u8],
+    ) -> (crate::obs::RunMetrics, String) {
+        metrics.selection_steps = 0;
+        let trace = std::str::from_utf8(trace).expect("JSONL traces are UTF-8");
+        let mut masked = String::with_capacity(trace.len());
+        let mut rest = trace;
+        while let Some(at) = rest.find("\"heap_pops\":") {
+            let (head, tail) = rest.split_at(at + "\"heap_pops\":".len());
+            masked.push_str(head);
+            masked.push('0');
+            rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        masked.push_str(rest);
+        (metrics, masked)
+    }
+
+    #[test]
+    fn fresh_openings_that_expire_unconsulted_are_never_keyed() {
+        use crate::obs::{JsonlTraceObserver, MetricsObserver, Tee};
+        // Budget 1, Φ(NP). CEI 0 is a chain of one-chronon windows on
+        // resources 0..5: its first probe at chronon 0 starts it, and from
+        // chronon 1 to 4 its next window takes the whole budget in the
+        // started phase, so the fresh phase is not consulted. CEI k
+        // (k = 1..=5) is one fresh window on resource 5 over `k−1..=k`.
+        let mut b = InstanceBuilder::new(6, 8, Budget::Uniform(1));
+        let p = b.profile();
+        b.cei(p, &[(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 4, 4)]);
+        for k in 1..=5u32 {
+            b.cei(p, &[(5, k - 1, k)]);
+        }
+        let inst = b.build();
+        let config = EngineConfig::non_preemptive();
+        let observed = |policy: &dyn Policy, config: EngineConfig| {
+            let mut metrics = MetricsObserver::new();
+            let mut trace = JsonlTraceObserver::new(Vec::<u8>::new());
+            let run = OnlineEngine::run_observed(
+                &inst,
+                policy,
+                config,
+                &mut Tee(&mut metrics, &mut trace),
+            );
+            let (metrics, trace) =
+                without_heap_pops(metrics.finish(), &trace.finish().expect("in-memory write"));
+            (run, metrics, trace)
+        };
+        let counting = CountingSEdf::default();
+        let (run, metrics, trace) = observed(&counting, config);
+        // Keyed: CEI 0's five windows (each in the phase that probes it),
+        // CEI 1's and CEI 0's first at chronon 0 (the fresh phase), and
+        // CEI 5's at chronon 5, once CEI 0 has completed. CEIs 2–4 open
+        // and expire while only the started phase runs; keying every
+        // opening would have called `order_key` 10 times.
+        assert_eq!(counting.0.into_inner(), 7);
+        assert_eq!(run.outcomes[0], CeiOutcome::Captured { at: 4 });
+        for k in 2..=4 {
+            assert_eq!(run.outcomes[k], CeiOutcome::Failed { at: k as u32 });
+        }
+        assert_eq!(run.outcomes[5], CeiOutcome::Captured { at: 5 });
+
+        let (scan, scan_metrics, scan_trace) = observed(&SEdf, config.with_scan());
+        assert_eq!(run.schedule, scan.schedule);
+        assert_eq!(run.stats, scan.stats);
+        assert_eq!(run.outcomes, scan.outcomes);
+        assert_eq!(metrics, scan_metrics);
+        assert_eq!(trace, scan_trace);
     }
 
     #[test]
